@@ -1,11 +1,14 @@
 """Parallel exact census of average-mixing ranks over all trees per order.
 
-The enumeration stream is cut into fixed-size chunks; workers classify each
-tree of a chunk independently and return a tally keyed by (rank, simple).
-Tallies are merged strictly in chunk order, so the aggregated output is
-byte-identical whatever the worker count, and a checkpoint file holding the
-completed chunk tallies lets an interrupted run resume to the identical
-result.
+The enumeration stream is cut into fixed-size chunks of graph6 strings by
+`map_chunks`, the one chunk runner of the package (the 18-vertex search in
+`rooted_family` runs on it too): it maps a per-chunk function over the
+chunks, in this process or in a worker pool, and yields the results in
+chunk order.  Census workers classify each tree of a chunk independently
+and return a tally keyed by (rank, simple).  Tallies are merged strictly in
+chunk order, so the aggregated output is byte-identical whatever the worker
+count, and a checkpoint file holding the completed chunk tallies lets an
+interrupted run resume to the identical result.
 
 Methods:
   exact      rank and simplicity from the exact average mixing matrix;
@@ -18,6 +21,9 @@ Methods:
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import json
 import multiprocessing
 import os
@@ -69,8 +75,27 @@ def classify_tree(t, method: str) -> tuple[int, bool]:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _census_chunk(args) -> dict[str, int]:
-    method, payload = args
+def map_chunks(fn, trees, chunk_size: int, threads: int):
+    """fn(chunk) for each run of chunk_size consecutive trees, in chunk order.
+
+    A chunk is a list of graph6 strings (the last one may be shorter).  With
+    one thread every chunk runs in this process; otherwise `fn`, which must
+    be picklable (a module-level function or a partial of one), runs in a
+    worker pool whose results still arrive in chunk order.
+    """
+    def chunks():
+        it = iter(trees)
+        while chunk := [write_graph6(t) for t in itertools.islice(it, chunk_size)]:
+            yield chunk
+
+    if threads > 1:
+        with multiprocessing.Pool(threads) as pool:
+            yield from pool.imap(fn, chunks())
+    else:
+        yield from map(fn, chunks())
+
+
+def _census_chunk(method: str, payload: list[str]) -> dict[str, int]:
     tally: dict[str, int] = {}
     for g6 in payload:
         rank, simple = classify_tree(parse_graph6(g6), method)
@@ -136,65 +161,38 @@ def census(
         raise ValueError(f"method must be one of {METHODS}")
     if threads < 1:
         raise ValueError("threads must be positive")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
     ckpt = _Checkpoint(
         checkpoint_path,
         {"n_min": n_min, "n_max": n_max, "method": method, "chunk_size": chunk_size},
     )
+    classify = functools.partial(_census_chunk, method)
     records: list[CensusRecord] = []
-    pool = multiprocessing.Pool(threads) if threads > 1 else None
-    try:
-        for n in range(n_min, n_max + 1):
-            tally: dict[str, int] = {}
-            pending: list[tuple[int, list[str]]] = []
-
-            def chunks_of(n=n):
-                buf: list[str] = []
-                index = 0
-                for t in enumerate_trees(n):
-                    buf.append(write_graph6(t))
-                    if len(buf) == chunk_size:
-                        yield index, buf
-                        buf = []
-                        index += 1
-                if buf:
-                    yield index, buf
-
-            todo = []
-            for index, buf in chunks_of():
-                stored = ckpt.get(n, index)
-                if stored is None:
-                    todo.append((index, buf))
-                else:
-                    pending.append((index, stored))
-            if pool is not None:
-                results = pool.imap(_census_chunk, [(method, buf) for _, buf in todo])
-                for (index, _), part in zip(todo, results):
-                    ckpt.put(n, index, part)
-                    pending.append((index, part))
-                    if progress:
-                        progress(n, len(pending))
-            else:
-                for index, buf in todo:
-                    part = _census_chunk((method, buf))
-                    ckpt.put(n, index, part)
-                    pending.append((index, part))
-                    if progress:
-                        progress(n, len(pending))
-            for _, part in sorted(pending):
+    for n in range(n_min, n_max + 1):
+        # chunks are stored in chunk order, so an order resumes after the
+        # longest stored prefix of its chunks
+        tally: dict[str, int] = {}
+        start = 0
+        while (part := ckpt.get(n, start)) is not None:
+            _merge(tally, part)
+            start += 1
+        trees = itertools.islice(enumerate_trees(n), start * chunk_size, None)
+        with contextlib.closing(map_chunks(classify, trees, chunk_size, threads)) as parts:
+            for index, part in enumerate(parts, start):
+                ckpt.put(n, index, part)
                 _merge(tally, part)
-            rows: dict[int, list[int]] = {}
-            for key, cnt in tally.items():
-                rank, simple = map(int, key.split(","))
-                row = rows.setdefault(rank, [0, 0])
-                row[0] += cnt
-                if simple:
-                    row[1] += cnt
-            for rank in sorted(rows):
-                records.append(CensusRecord(n, rank, rows[rank][0], rows[rank][1]))
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+                if progress:
+                    progress(n, index + 1)
+        rows: dict[int, list[int]] = {}
+        for key, cnt in tally.items():
+            rank, simple = map(int, key.split(","))
+            row = rows.setdefault(rank, [0, 0])
+            row[0] += cnt
+            if simple:
+                row[1] += cnt
+        for rank in sorted(rows):
+            records.append(CensusRecord(n, rank, rows[rank][0], rows[rank][1]))
     records.sort(key=lambda r: (r.n, r.rank))
     return records
 

@@ -23,13 +23,7 @@ from .errors import ConsistencyError, DomainError, Graph6Error, GraphInputError
 from .exact import average_mixing_exact, rat_matrix_to_csv, rat_matrix_to_json
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, parse_edge_list
-from .rooted_family import (
-    build_family,
-    confirm_unique_low_rank_tree,
-    family_report_csv,
-    load_t_star,
-    search_low_rank_simple_trees,
-)
+from .rooted_family import build_family, family_report_csv, find_t_star
 from .verify import SUITES, run_suite
 
 
@@ -117,22 +111,11 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_find_tstar(args) -> int:
-    if args.cache and os.path.exists(args.cache):
-        t = load_t_star(args.cache)
-        print(f"cached: {write_graph6(t)}")
-        return 0
-
     def progress(k):
         if args.verbose:
-            print(f"scanned ~{k} trees", file=sys.stderr)
+            print(f"scanned {k} trees", file=sys.stderr)
 
-    hits = search_low_rank_simple_trees(18, 9, threads=_threads(args), progress=progress)
-    for rank, tree in hits:
-        print(f"candidate rank {rank}: {write_graph6(tree)}")
-    t = confirm_unique_low_rank_tree(hits)
-    if args.cache:
-        with open(args.cache, "w", encoding="ascii") as fh:
-            fh.write(write_graph6(t) + "\n")
+    t = find_t_star(args.cache, threads=_threads(args), progress=progress)
     print(f"found: {write_graph6(t)}")
     return 0
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
 from .graphs import Graph
+from .polynomials import poly_add, poly_mul
 
 
 def _require_tree(t: Graph, what: str) -> None:
@@ -55,45 +56,25 @@ def forest_matching_counts(g: Graph) -> list[int]:
             if not kids:
                 table[v] = ([1], [])
                 continue
-            anyk = [_vec_add(table[c][0], table[c][1]) for c in kids]
+            anyk = [poly_add(table[c][0], table[c][1]) for c in kids]
             prefix = [[1]]
             for vec in anyk:
-                prefix.append(_vec_mul(prefix[-1], vec))
+                prefix.append(poly_mul(prefix[-1], vec))
             suffix = [[1]]
             for vec in reversed(anyk):
-                suffix.append(_vec_mul(suffix[-1], vec))
+                suffix.append(poly_mul(suffix[-1], vec))
             suffix.reverse()
             unmatched = prefix[-1]
             matched: list[int] = []
             for i, c in enumerate(kids):
                 # match v to child c: shift by one edge, children of c must be free of c
-                term = _vec_mul(table[c][0], _vec_mul(prefix[i], suffix[i + 1]))
-                matched = _vec_add(matched, [0] + term)
+                term = poly_mul(table[c][0], poly_mul(prefix[i], suffix[i + 1]))
+                matched = poly_add(matched, [0] + term)
             table[v] = (unmatched, matched)
             for c in kids:
                 del table[c]
-        total = _vec_mul(total, _vec_add(table[root][0], table[root][1]))
+        total = poly_mul(total, poly_add(table[root][0], table[root][1]))
     return total
-
-
-def _vec_add(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _vec_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def matching_counts(t: Graph) -> list[int]:

@@ -5,8 +5,9 @@ no trailing zeros; the empty list is the zero polynomial.  IntPoly entries
 are Python ints, RatPoly entries are fractions.Fraction (ints mix freely).
 
 Besides the arithmetic toolkit this module houses the characteristic
-polynomial (Faddeev-LeVerrier over exact integers), the pendant-recurrence
-characteristic polynomial for forests, squarefree analysis through
+polynomial (Faddeev-LeVerrier over exact integers), the characteristic
+polynomial of a forest assembled from its matching counts (the one rooted
+forest recurrence lives in `matchings`), squarefree analysis through
 primitive pseudo-remainder sequences, and summation of a rational function
 over the roots of a squarefree polynomial via Newton power sums.
 """
@@ -16,7 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
+from .graph6 import write_graph6
 from .graphs import Graph
 
 IntPoly = list[int]
@@ -231,10 +233,10 @@ def squarefree_part(p: IntPoly) -> IntPoly:
         return poly_primitive(p)
     q, r = poly_divmod(poly_primitive(p), g)
     if r:
-        raise AssertionError("gcd failed to divide its argument")
+        raise ConsistencyError(f"gcd failed to divide its argument: {poly_to_text(p)}")
     out = [int(c) for c in q]
     if any(Fraction(c) != qc for c, qc in zip(out, q)):
-        raise AssertionError("squarefree part is not integral")
+        raise ConsistencyError(f"squarefree part is not integral: {poly_to_text(p)}")
     return poly_primitive(out)
 
 
@@ -247,7 +249,7 @@ def char_poly(x: Graph) -> IntPoly:
 
     The recurrence runs entirely over the integers; each trace division is
     checked to be exact, and the final Cayley-Hamilton identity B_n = 0 is
-    asserted.
+    checked; a failure raises ConsistencyError with the graph's graph6.
     """
     n = x.n
     nbr = x.neighbors()
@@ -266,71 +268,30 @@ def char_poly(x: Graph) -> IntPoly:
             m.append(row)
         tr = sum(m[i][i] for i in range(n))
         if tr % k:
-            raise AssertionError("Faddeev-LeVerrier trace division not exact")
+            raise ConsistencyError(
+                "Faddeev-LeVerrier trace division not exact", [write_graph6(x)],
+            )
         ck = -(tr // k)
         coeffs[n - k] = ck
         for i in range(n):
             m[i][i] += ck
         b = m
     if any(b[i][j] for i in range(n) for j in range(n)):
-        raise AssertionError("Cayley-Hamilton check failed")
+        raise ConsistencyError("Cayley-Hamilton check failed", [write_graph6(x)])
     return coeffs
 
 
 def forest_char_poly(x: Graph) -> IntPoly:
-    """Characteristic polynomial of a forest by the pendant-edge recurrence.
+    """Characteristic polynomial of a forest from its matching counts.
 
-    Each rooted subtree carries the pair (phi(subtree), phi(subtree - root));
-    for a vertex v with children c_1..c_k,
-        Q_v = prod phi(T_{c_i}),
-        P_v = t*Q_v - sum_i phi(T_{c_i} - c_i) * prod_{j != i} phi(T_{c_j}),
-    and the forest polynomial is the product over component roots.
+    A forest has no cycles, so by Sachs' theorem its characteristic
+    polynomial is its matching polynomial, sum_k (-1)^k m_k t^(n-2k)
+    (Godsil & Gutman, J. Graph Theory 1981); the counts m_k come from
+    `matchings.forest_matching_counts`, which raises DomainError on a cycle.
     """
-    if not x.is_forest():
-        raise DomainError("input graph contains a cycle")
-    nbr = x.neighbors()
-    result = [1]
-    seen = [False] * x.n
-    for root in range(x.n):
-        if seen[root]:
-            continue
-        order = []
-        parent = {root: -1}
-        stack = [root]
-        seen[root] = True
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w in nbr[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    stack.append(w)
-        pq: dict[int, tuple[IntPoly, IntPoly]] = {}
-        for v in reversed(order):
-            kids = [w for w in nbr[v] if parent.get(w) == v]
-            if not kids:
-                pq[v] = ([0, 1], [1])
-                continue
-            ps = [pq[c][0] for c in kids]
-            qs = [pq[c][1] for c in kids]
-            prefix = [[1]]
-            for p in ps:
-                prefix.append(poly_mul(prefix[-1], p))
-            suffix = [[1]]
-            for p in reversed(ps):
-                suffix.append(poly_mul(suffix[-1], p))
-            suffix.reverse()
-            q_v = prefix[-1]
-            p_v = poly_shift(q_v, 1)
-            for i, q_c in enumerate(qs):
-                term = poly_mul(q_c, poly_mul(prefix[i], suffix[i + 1]))
-                p_v = poly_sub(p_v, term)
-            pq[v] = (p_v, q_v)
-            for c in kids:
-                del pq[c]
-        result = poly_mul(result, pq[root][0])
-    return result
+    from .matchings import counts_to_char_poly, forest_matching_counts
+
+    return counts_to_char_poly(x.n, forest_matching_counts(x))
 
 
 def matching_char_poly(t: Graph) -> IntPoly:
@@ -343,7 +304,7 @@ def matching_char_poly(t: Graph) -> IntPoly:
 def vertex_deleted_polys(x: Graph) -> list[IntPoly]:
     """char_poly(X - u) for every vertex u, each of degree n-1.
 
-    Forests take the pendant-recurrence path, anything else falls back to
+    Forests take the matching-count path, anything else falls back to
     Faddeev-LeVerrier.
     """
     if x.n < 2:

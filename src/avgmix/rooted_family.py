@@ -15,14 +15,15 @@ further below the ceil(n/2) ceiling.
 
 from __future__ import annotations
 
+import functools
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .census import map_chunks
 from .errors import ConsistencyError, DomainError
 from .enumeration import enumerate_trees
 from .exact import (
@@ -146,18 +147,18 @@ _SEARCH_ORDER = 18
 _SEARCH_RANK_CEILING = 9
 
 
-def _scan_chunk(args) -> list[tuple[int, str, int]]:
-    n, rank_below, payload = args
+def _scan_chunk(rank_below: int, payload: list[str]) -> tuple[int, list[tuple[str, int]]]:
+    """(trees scanned, [(graph6, rank)] of the chunk's hits in order)."""
     hits = []
-    for index, g6 in payload:
+    for g6 in payload:
         t = parse_graph6(g6)
         counts = forest_matching_counts(t)
         if not simple_from_matching_counts(t.n, counts):
             continue
         rank = exact_rank(coefficient_matrix(t))
         if rank < rank_below:
-            hits.append((index, g6, rank))
-    return hits
+            hits.append((g6, rank))
+    return len(payload), hits
 
 
 def search_low_rank_simple_trees(
@@ -172,34 +173,19 @@ def search_low_rank_simple_trees(
     Returns (rank, tree) pairs in enumeration order.  Simplicity is decided
     by the matching-count squarefree test and the rank by fraction-free
     elimination of the integer coefficient matrix, so the scan is exact.
+    `progress(trees_scanned)` fires after every chunk.
     """
-    def chunks():
-        buf = []
-        for index, t in enumerate(enumerate_trees(n)):
-            buf.append((index, write_graph6(t)))
-            if len(buf) == chunk_size:
-                yield (n, rank_below, buf)
-                buf = []
-        if buf:
-            yield (n, rank_below, buf)
-
-    hits: list[tuple[int, str, int]] = []
-    done = 0
-    if threads > 1:
-        with multiprocessing.Pool(threads) as pool:
-            for part in pool.imap(_scan_chunk, chunks()):
-                hits.extend(part)
-                done += 1
-                if progress:
-                    progress(done * chunk_size)
-    else:
-        for chunk in chunks():
-            hits.extend(_scan_chunk(chunk))
-            done += 1
-            if progress:
-                progress(done * chunk_size)
-    hits.sort()
-    return [(rank, _as_tree(parse_graph6(g6))) for _, g6, rank in hits]
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    scan = functools.partial(_scan_chunk, rank_below)
+    hits: list[tuple[str, int]] = []
+    scanned = 0
+    for count, part in map_chunks(scan, enumerate_trees(n), chunk_size, threads):
+        hits.extend(part)
+        scanned += count
+        if progress:
+            progress(scanned)
+    return [(rank, _as_tree(parse_graph6(g6))) for g6, rank in hits]
 
 
 def _as_tree(g: Graph) -> Tree:

@@ -91,6 +91,8 @@ def test_census_argument_validation():
         census(5, 4)
     with pytest.raises(ValueError):
         census(2, 4, method="magic")
+    with pytest.raises(ValueError, match="chunk_size"):
+        census(2, 4, chunk_size=0)
 
 
 def test_csv_roundtrip_and_header():

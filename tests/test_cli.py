@@ -1,3 +1,5 @@
+import avgmix.polynomials as polynomials_module
+import avgmix.rooted_family as rooted_family
 from avgmix.cli import main
 from avgmix.graph6 import write_graph6
 from avgmix.graphs import path, star, write_edge_list
@@ -61,6 +63,14 @@ def test_census_to_file_and_compare(tmp_path, capsys):
 
 def test_census_usage_error(capsys):
     assert main(["census", "--n-min", "1", "--n-max", "3"]) == 2
+    assert main(["census", "--n-max", "3", "--chunk-size", "0"]) == 2
+    assert "chunk_size" in capsys.readouterr().err
+
+
+def test_broken_invariant_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(polynomials_module, "poly_gcd_int", lambda a, b: [1, 1])
+    assert main(["rank", write_graph6(star(4))]) == 1
+    assert "verification failure: gcd failed to divide" in capsys.readouterr().err
 
 
 def test_compare_detects_corruption(tmp_path, capsys):
@@ -98,7 +108,18 @@ def test_find_tstar_cached(tmp_path, tstar, capsys):
     cache = tmp_path / "t_star.g6"
     cache.write_text(write_graph6(tstar) + "\n")
     assert main(["find-tstar", "--cache", str(cache)]) == 0
-    assert write_graph6(tstar) in capsys.readouterr().out
+    assert f"found: {write_graph6(tstar)}" in capsys.readouterr().out
+
+
+def test_find_tstar_failure_lists_candidates(tmp_path, monkeypatch, capsys):
+    hits = [(8, path(18)), (7, star(18))]
+    monkeypatch.setattr(rooted_family, "search_low_rank_simple_trees", lambda *a, **k: hits)
+    cache = tmp_path / "t_star.g6"
+    assert main(["find-tstar", "--cache", str(cache)]) == 1
+    err = capsys.readouterr().err
+    for rank, t in hits:
+        assert f"({rank}, '{write_graph6(t)}')" in err
+    assert not cache.exists()
 
 
 def test_threads_env_override(tmp_path, monkeypatch):

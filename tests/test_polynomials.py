@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import avgmix.polynomials as polynomials_module
 from avgmix.enumeration import enumerate_trees, random_tree
-from avgmix.errors import DomainError
+from avgmix.errors import ConsistencyError, DomainError
 from avgmix.graphs import from_edges, path, rooted_product_k2, star
 from avgmix.polynomials import (
     char_poly,
@@ -160,6 +161,24 @@ def test_poly_inverse_mod():
 def test_forest_char_poly_multiplies_components():
     g = from_edges(5, [(0, 1), (2, 3)])
     assert forest_char_poly(g) == poly_mul(poly_mul([-1, 0, 1], [-1, 0, 1]), [0, 1])
+
+
+def test_forest_char_poly_equals_faddeev_leverrier_on_deleted_forests():
+    # every vertex deletion of every tree up to order 9: disconnected
+    # forests and isolated vertices included
+    for n in range(2, 10):
+        for t in enumerate_trees(n):
+            for u in range(n):
+                sub = t.delete_vertex(u)
+                assert forest_char_poly(sub) == char_poly(sub), (n, t.edges, u)
+    with pytest.raises(DomainError):
+        forest_char_poly(from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+
+
+def test_squarefree_part_broken_gcd_is_a_consistency_error(monkeypatch):
+    monkeypatch.setattr(polynomials_module, "poly_gcd_int", lambda a, b: [1, 1])
+    with pytest.raises(ConsistencyError, match="gcd failed to divide"):
+        squarefree_part([0, 0, -3, 0, 1])
 
 
 def test_rooted_product_char_poly_by_hand():

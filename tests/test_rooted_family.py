@@ -16,6 +16,7 @@ from avgmix.rooted_family import (
     k2_spectrum_map,
     load_t_star,
     rooted_product_char_poly,
+    search_low_rank_simple_trees,
     tstar_charpoly,
 )
 
@@ -100,6 +101,29 @@ def test_rooted_product_char_poly_identity():
     for n in range(1, 7):
         for t in enumerate_trees(n):
             assert rooted_product_char_poly(char_poly(t), t.n) == char_poly(rooted_product_k2(t))
+
+
+def test_search_hits_independent_of_threads_and_chunk_size():
+    runs = {
+        (threads, chunk_size): [
+            (rank, t.edges) for rank, t in search_low_rank_simple_trees(
+                10, 6, threads=threads, chunk_size=chunk_size,
+            )
+        ]
+        for threads in (1, 2)
+        for chunk_size in (7, 2048)
+    }
+    first = runs[(1, 2048)]
+    assert len(first) == 11
+    assert all(hits == first for hits in runs.values())
+
+
+def test_search_progress_counts_trees_scanned():
+    seen = []
+    search_low_rank_simple_trees(10, 6, chunk_size=7, progress=seen.append)
+    assert seen == [*range(7, 106, 7), 106]  # 106 trees on 10 vertices
+    with pytest.raises(ValueError, match="chunk_size"):
+        search_low_rank_simple_trees(10, 6, chunk_size=0)
 
 
 def test_tstar_charpoly_expansion():
