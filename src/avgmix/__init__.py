@@ -25,7 +25,6 @@ from .matchings import (
     near_perfect_vertex,
 )
 from .numeric import (
-    SpectralDecomp,
     average_mixing_float,
     cesaro_average,
     eigh,

@@ -70,7 +70,7 @@ def classify_tree(t, method: str) -> tuple[int, bool]:
     if method == "float":
         from .numeric import average_mixing_float, numeric_rank, spectral_decomp
 
-        simple = len(spectral_decomp(t).clusters) == t.n
+        simple = len(spectral_decomp(t)) == t.n
         return numeric_rank(average_mixing_float(t)), simple
     raise ValueError(f"unknown method {method!r}")
 

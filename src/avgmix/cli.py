@@ -15,6 +15,7 @@ from .census import (
     METHODS,
     CheckpointMismatch,
     census,
+    classify_tree,
     compare_tables,
     records_from_csv,
     records_to_csv,
@@ -29,9 +30,31 @@ from .verify import SUITES, run_suite
 
 def _threads(args) -> int:
     env = os.environ.get("AMM_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, getattr(args, "threads", 1))
+    threads = int(env) if env else getattr(args, "threads", 1)
+    if threads < 1:
+        raise ValueError("threads must be positive")
+    return threads
+
+
+def _progress(verbose: bool, template: str):
+    """A callback printing `template` filled with its arguments to stderr, or None.
+
+    When stderr's reader goes away, stderr is pointed at os.devnull and the
+    run goes on unreported; the devnull redirect also keeps the flush at
+    interpreter exit from failing, which would turn the exit status into 120.
+    """
+    if not verbose:
+        return None
+
+    def report(*values):
+        try:
+            print(template.format(*values), file=sys.stderr, flush=True)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stderr.fileno())
+            os.close(devnull)
+
+    return report
 
 
 def _load_graph(spec: str) -> Graph:
@@ -56,10 +79,6 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_census(args) -> int:
-    def progress(n, done):
-        if args.verbose:
-            print(f"n={n}: {done} chunks done", file=sys.stderr)
-
     records = census(
         args.n_min,
         args.n_max,
@@ -67,7 +86,7 @@ def _cmd_census(args) -> int:
         threads=_threads(args),
         chunk_size=args.chunk_size,
         checkpoint_path=args.checkpoint,
-        progress=progress,
+        progress=_progress(args.verbose, "n={}: {} chunks done"),
     )
     _write_or_print(records_to_csv(records), args.out)
     return 0
@@ -76,10 +95,7 @@ def _cmd_census(args) -> int:
 def _cmd_rank(args) -> int:
     g = _load_graph(args.graph)
     if args.method == "float":
-        from .numeric import average_mixing_float, numeric_rank, spectral_decomp
-
-        rank = numeric_rank(average_mixing_float(g))
-        simple = len(spectral_decomp(g).clusters) == g.n
+        rank, simple = classify_tree(g, "float")
         print(f"n={g.n} rank={rank} simple={str(simple).lower()} method=float")
         return 0
     res = average_mixing_exact(g)
@@ -111,10 +127,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_find_tstar(args) -> int:
-    def progress(k):
-        if args.verbose:
-            print(f"scanned {k} trees", file=sys.stderr)
-
+    progress = _progress(args.verbose, "scanned {} trees")
     t = find_t_star(args.cache, threads=_threads(args), progress=progress)
     print(f"found: {write_graph6(t)}")
     return 0

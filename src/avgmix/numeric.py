@@ -1,96 +1,36 @@
 """Floating-point spectral pipeline: eigensolver, walk matrices, averages.
 
 This is the cross-validation side of the package.  Precision lives in the
-exact pipeline; here a plain cyclic Jacobi eigensolver feeds spectral
-idempotents, the walk matrices U(t) = exp(itA) and M(t) = U(t) o conj(U(t)),
-time averages, and a numeric rank, all compared against the exact results
-in the test suites.
+exact pipeline; here LAPACK's symmetric eigensolver (through numpy) feeds
+spectral idempotents, the walk matrices U(t) = exp(itA) and
+M(t) = U(t) o conj(U(t)), time averages, and a numeric rank, all compared
+against the exact results in the test suites.  Eigenvalues closer than
+1e-8 * max(1, spectral radius) form one cluster; the numeric rank counts
+eigenvalues above 1e-8 times the largest.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .graphs import Graph
 
-_JACOBI_SWEEP_LIMIT = 60
 
-
-def eigh(a, off_tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
-
-    Cyclic Jacobi: sweep all off-diagonal pairs with 2x2 rotations until the
-    off-diagonal Frobenius mass drops below off_tol times the matrix norm.
-    """
+def eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("matrix must be square")
     if a.size and np.max(np.abs(a - a.T)) > 1e-12:
         raise DomainError("matrix is not symmetric")
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = np.linalg.norm(a)
-    if n < 2 or norm == 0.0:
-        order = np.argsort(np.diag(a), kind="stable")
-        return np.diag(a)[order], v[:, order]
-    threshold = off_tol * norm
-    offdiag = ~np.eye(n, dtype=bool)
-    for _ in range(_JACOBI_SWEEP_LIMIT):
-        off = np.linalg.norm(a[offdiag])
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold / (n * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t /= abs(theta) + np.sqrt(theta * theta + 1.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    else:
-        raise RuntimeError("Jacobi sweeps did not converge")
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(a)
 
 
-@dataclass
-class SpectralDecomp:
-    """Eigenvalue clusters with their orthogonal projectors."""
-
-    clusters: list[tuple[float, np.ndarray]]
-    cluster_tol: float
-
-    @property
-    def eigenvalues(self) -> list[float]:
-        return [ev for ev, _ in self.clusters]
-
-
-def default_cluster_tol(eigenvalues) -> float:
-    radius = max((abs(float(e)) for e in eigenvalues), default=0.0)
-    return 1e-8 * max(1.0, radius)
-
-
-def spectral_decomp(x: Graph, cluster_tol: float | None = None) -> SpectralDecomp:
-    """Group numerically equal eigenvalues and form cluster projectors."""
+def spectral_decomp(x: Graph) -> list[tuple[float, np.ndarray]]:
+    """(eigenvalue, projector) per cluster of numerically equal eigenvalues, ascending."""
     w, v = eigh(np.array(x.adjacency(), dtype=float))
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(w)
+    cluster_tol = 1e-8 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     clusters = []
     i = 0
     n = x.n
@@ -101,22 +41,20 @@ def spectral_decomp(x: Graph, cluster_tol: float | None = None) -> SpectralDecom
         block = v[:, i:j]
         clusters.append((float(np.mean(w[i:j])), block @ block.T))
         i = j
-    return SpectralDecomp(clusters, cluster_tol)
+    return clusters
 
 
-def transition_matrix(x: Graph, t: float, decomp: SpectralDecomp | None = None) -> np.ndarray:
+def transition_matrix(x: Graph, t: float) -> np.ndarray:
     """U(t) = exp(itA) assembled from the spectral decomposition."""
-    if decomp is None:
-        decomp = spectral_decomp(x)
     u = np.zeros((x.n, x.n), dtype=complex)
-    for ev, proj in decomp.clusters:
+    for ev, proj in spectral_decomp(x):
         u += np.exp(1j * ev * t) * proj
     return u
 
 
-def mixing_at_time(x: Graph, t: float, decomp: SpectralDecomp | None = None) -> np.ndarray:
+def mixing_at_time(x: Graph, t: float) -> np.ndarray:
     """M(t): entrywise squared modulus of U(t); doubly stochastic."""
-    u = transition_matrix(x, t, decomp)
+    u = transition_matrix(x, t)
     return np.abs(u) ** 2
 
 
@@ -126,9 +64,9 @@ def cesaro_average(x: Graph, T: float, samples: int) -> np.ndarray:
         raise DomainError("averaging horizon must be positive")
     if samples < 1:
         raise DomainError("need at least one sample interval")
-    decomp = spectral_decomp(x)
-    evs = np.array([ev for ev, _ in decomp.clusters])
-    projs = np.stack([proj for _, proj in decomp.clusters])
+    clusters = spectral_decomp(x)
+    evs = np.array([ev for ev, _ in clusters])
+    projs = np.stack([proj for _, proj in clusters])
     ts = np.linspace(0.0, T, samples + 1)
     acc = np.zeros((x.n, x.n))
     batch = max(1, 4_000_000 // (x.n * x.n * len(evs)))
@@ -146,22 +84,21 @@ def cesaro_average(x: Graph, T: float, samples: int) -> np.ndarray:
     return acc / samples
 
 
-def average_mixing_float(x: Graph, cluster_tol: float | None = None) -> np.ndarray:
+def average_mixing_float(x: Graph) -> np.ndarray:
     """Sum of the squared cluster projectors."""
-    decomp = spectral_decomp(x, cluster_tol)
     out = np.zeros((x.n, x.n))
-    for _, proj in decomp.clusters:
+    for _, proj in spectral_decomp(x):
         out += proj * proj
     return out
 
 
-def numeric_rank(m, tol: float = 1e-8) -> int:
-    """Count of eigenvalues of a PSD symmetric matrix above tol times the largest."""
+def numeric_rank(m) -> int:
+    """Count of eigenvalues of a PSD symmetric matrix above 1e-8 times the largest."""
     w, _ = eigh(np.array(m, dtype=float))
     top = float(w[-1]) if len(w) else 0.0
     if top <= 0.0:
         return 0
-    return int(np.sum(w > tol * top))
+    return int(np.sum(w > 1e-8 * top))
 
 
 def verify_cvdv_identity(t: Graph) -> float:

@@ -175,6 +175,8 @@ def search_low_rank_simple_trees(
     elimination of the integer coefficient matrix, so the scan is exact.
     `progress(trees_scanned)` fires after every chunk.
     """
+    if threads < 1:
+        raise ValueError("threads must be positive")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
     scan = functools.partial(_scan_chunk, rank_below)
@@ -274,6 +276,8 @@ def build_family(
     simple eigenvalues, which is re-verified).  Refuses members beyond the
     vertex cap.
     """
+    if k < 0:
+        raise ValueError(f"family index must be non-negative, got {k}")
     if 18 * 2**k > vertex_cap:
         raise ValueError(
             f"family member {k} needs {18 * 2 ** k} vertices, above the cap {vertex_cap}",

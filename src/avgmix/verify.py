@@ -356,18 +356,18 @@ def suite_float(r: _Runner, n_max: int):
     bad = 0
     for n in range(2, n_max + 1):
         for t in enumerate_trees(n):
-            d = spectral_decomp(t)
+            clusters = spectral_decomp(t)
             eye = np.eye(t.n)
-            ssum = sum(p for _, p in d.clusters)
+            ssum = sum(p for _, p in clusters)
             if float(np.max(np.abs(ssum - eye))) > 1e-9:
                 bad += 1
-            for i, (_, p) in enumerate(d.clusters):
+            for i, (_, p) in enumerate(clusters):
                 if float(np.max(np.abs(p @ p - p))) > 1e-9:
                     bad += 1
-                for _, p2 in d.clusters[i + 1 :]:
+                for _, p2 in clusters[i + 1 :]:
                     if float(np.max(np.abs(p @ p2))) > 1e-9:
                         bad += 1
-            simple_float = len(d.clusters) == t.n
+            simple_float = len(clusters) == t.n
             if simple_float != is_squarefree(char_poly(t)):
                 bad += 1
     r.check(f"projector invariants and gap-based simplicity, trees n<={n_max}", bad == 0)

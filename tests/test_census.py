@@ -46,6 +46,9 @@ def test_methods_produce_identical_tables():
     b = records_to_csv(census(2, 8, method="exact"))
     c = records_to_csv(census(2, 8, method="float"))
     assert a == b == c
+    floats = census(2, 12, method="float")
+    assert compare_tables(floats, collect_certificates=False).ok
+    verify_totals(floats)
 
 
 def test_thread_count_invariance():

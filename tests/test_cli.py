@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+
+import avgmix
 import avgmix.polynomials as polynomials_module
 import avgmix.rooted_family as rooted_family
 from avgmix.cli import main
@@ -61,10 +66,48 @@ def test_census_to_file_and_compare(tmp_path, capsys):
     assert "note:" in rendered
 
 
-def test_census_usage_error(capsys):
+def test_census_usage_error(tmp_path, monkeypatch, capsys):
     assert main(["census", "--n-min", "1", "--n-max", "3"]) == 2
     assert main(["census", "--n-max", "3", "--chunk-size", "0"]) == 2
     assert "chunk_size" in capsys.readouterr().err
+    for threads in ("0", "-1"):
+        assert main(["census", "--n-max", "3", "--threads", threads]) == 2
+        assert "threads" in capsys.readouterr().err
+    cache = str(tmp_path / "t_star.g6")
+    assert main(["find-tstar", "--cache", cache, "--threads", "0"]) == 2
+    assert main(["family", "--cache", cache, "--threads", "0"]) == 2
+    monkeypatch.setenv("AMM_THREADS", "0")
+    assert main(["census", "--n-max", "3"]) == 2
+    assert "threads" in capsys.readouterr().err
+
+
+def test_verbose_census_survives_closed_stderr(tmp_path):
+    # The reader of stderr is gone before the first progress line.  stderr
+    # stays buffered, so a failed flush at exit would show as status 120.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(avgmix.__file__))
+    args = [sys.executable, "-m", "avgmix.cli", "census", "--n-max", "9", "--chunk-size", "5"]
+    quiet = tmp_path / "quiet.csv"
+    loud = tmp_path / "loud.csv"
+    assert subprocess.run([*args, "--out", str(quiet)], env=env).returncode == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([*args, "--out", str(loud), "--verbose"], env=env, stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert loud.read_bytes() == quiet.read_bytes()
+
+
+def test_family_negative_index_exits_2(tmp_path, monkeypatch, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the t* search must not run")
+
+    monkeypatch.setattr(rooted_family, "search_low_rank_simple_trees", no_search)
+    cache = str(tmp_path / "t_star.g6")
+    assert main(["family", "--iterations", "-1", "--cache", cache]) == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_broken_invariant_exits_1(monkeypatch, capsys):

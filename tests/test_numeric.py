@@ -38,6 +38,8 @@ def test_eigh_examples():
 def test_eigh_rejects_unsymmetric():
     with pytest.raises(DomainError):
         eigh([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(DomainError):
+        eigh([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def test_eigh_against_random_symmetric():
@@ -52,18 +54,18 @@ def test_eigh_against_random_symmetric():
 
 
 def test_spectral_decomp_clusters():
-    d = spectral_decomp(star(4))
-    assert len(d.clusters) == 3
-    zero_proj = d.clusters[1][1]
+    clusters = spectral_decomp(star(4))
+    assert len(clusters) == 3
+    zero_proj = clusters[1][1]
     assert abs(np.trace(zero_proj) - 2.0) < 1e-9
-    total = sum(p for _, p in d.clusters)
+    total = sum(p for _, p in clusters)
     assert np.max(np.abs(total - np.eye(4))) < 1e-9
-    for i, (_, p) in enumerate(d.clusters):
+    for i, (_, p) in enumerate(clusters):
         assert np.max(np.abs(p @ p - p)) < 1e-9
-        for _, q in d.clusters[i + 1 :]:
+        for _, q in clusters[i + 1 :]:
             assert np.max(np.abs(p @ q)) < 1e-9
     # a simple tree has n clusters
-    assert len(spectral_decomp(path(4)).clusters) == 4
+    assert len(spectral_decomp(path(4))) == 4
 
 
 def test_transition_and_mixing():
@@ -121,11 +123,11 @@ def test_projectors_and_gap_simplicity_to_twelve():
 
     for n in range(2, 13):
         for t in enumerate_trees(n):
-            d = spectral_decomp(t)
-            assert (len(d.clusters) == t.n) == is_squarefree(char_poly(t))
-            total = sum(p for _, p in d.clusters)
+            clusters = spectral_decomp(t)
+            assert (len(clusters) == t.n) == is_squarefree(char_poly(t))
+            total = sum(p for _, p in clusters)
             assert np.max(np.abs(total - np.eye(t.n))) < 1e-9
-            for _, p in d.clusters:
+            for _, p in clusters:
                 assert np.max(np.abs(p @ p - p)) < 1e-9
 
 

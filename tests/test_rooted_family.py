@@ -124,6 +124,8 @@ def test_search_progress_counts_trees_scanned():
     assert seen == [*range(7, 106, 7), 106]  # 106 trees on 10 vertices
     with pytest.raises(ValueError, match="chunk_size"):
         search_low_rank_simple_trees(10, 6, chunk_size=0)
+    with pytest.raises(ValueError, match="threads"):
+        search_low_rank_simple_trees(10, 6, threads=0)
 
 
 def test_tstar_charpoly_expansion():
