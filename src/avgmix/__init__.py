@@ -37,7 +37,6 @@ from .numeric import (
 from .polynomials import (
     char_poly,
     is_squarefree,
-    matching_char_poly,
     squarefree_part,
     trace_over_roots,
     vertex_deleted_polys,

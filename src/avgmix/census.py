@@ -68,10 +68,12 @@ def classify_tree(t, method: str) -> tuple[int, bool]:
             return exact_rank(coefficient_matrix(t)), True
         return average_mixing_exact(t).rank, False
     if method == "float":
-        from .numeric import average_mixing_float, numeric_rank, spectral_decomp
+        from .numeric import numeric_rank, spectral_decomp
 
-        simple = len(spectral_decomp(t)) == t.n
-        return numeric_rank(average_mixing_float(t)), simple
+        # one decomposition serves both: the matrix is summed in the cluster
+        # order of average_mixing_float, so the ranks are the same
+        clusters = spectral_decomp(t)
+        return numeric_rank(sum(p * p for _, p in clusters)), len(clusters) == t.n
     raise ValueError(f"unknown method {method!r}")
 
 

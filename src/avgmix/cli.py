@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from .census import (
     METHODS,
@@ -134,8 +135,9 @@ def _cmd_find_tstar(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    start = time.perf_counter()
     ok = run_suite(args.suite, args.n_max)
-    print("PASS" if ok else "FAIL")
+    print(f"{'PASS' if ok else 'FAIL'} ({time.perf_counter() - start:.2f} s)")
     return 0 if ok else 1
 
 

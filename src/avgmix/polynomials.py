@@ -294,13 +294,6 @@ def forest_char_poly(x: Graph) -> IntPoly:
     return counts_to_char_poly(x.n, forest_matching_counts(x))
 
 
-def matching_char_poly(t: Graph) -> IntPoly:
-    """Characteristic polynomial of a tree via its matching recurrence."""
-    if t.m != t.n - 1 or not t.is_connected():
-        raise DomainError("matching_char_poly expects a tree")
-    return forest_char_poly(t)
-
-
 def vertex_deleted_polys(x: Graph) -> list[IntPoly]:
     """char_poly(X - u) for every vertex u, each of degree n-1.
 

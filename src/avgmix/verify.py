@@ -1,26 +1,28 @@
-"""Named invariant suites, runnable from the CLI.
+"""Named invariant suites: the one home of every exhaustive or random sweep.
 
 Each suite walks a family of graphs and checks the cross-route identities
 the package is built on.  A suite returns True only if every check passed;
-checks print one line each so failures are attributable.
+checks print one line each so failures are attributable.  `avgmix verify`
+runs them, and pytest runs each suite once at its default size: criteria
+5-10 and 12 in tests/test_acceptance.py, `bipartite` in tests/test_exact.py
+and `census-methods` in tests/test_census.py.  The unit tests keep the
+hand-worked examples and the behaviour no suite checks.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 
 from .census import census, compare_tables, records_to_csv
 from .enumeration import enumerate_trees, random_tree
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .exact import (
     average_mixing_exact,
-    coefficient_matrix,
-    exact_rank,
     is_psd_exact,
-    is_simple,
     kernel_exact,
     rank_via_coefficient,
     weighted_projector_schur_sum,
@@ -32,7 +34,6 @@ from .matchings import (
     forest_matching_counts,
     leaf_next_to_degree_two,
     lower_bound_certificate,
-    matching_counts,
     near_perfect_vertex,
     simple_from_matching_counts,
 )
@@ -47,12 +48,14 @@ from .numeric import (
 )
 from .polynomials import (
     char_poly,
+    forest_char_poly,
     is_squarefree,
-    matching_char_poly,
     poly_add,
     poly_derivative,
     poly_eval,
+    poly_mul,
     power_sums,
+    squarefree_part,
     trace_over_roots,
     vertex_deleted_polys,
 )
@@ -91,11 +94,11 @@ def _float_of(m):
 def suite_identities(r: _Runner, n_max: int):
     rng = random.Random(20240)
     bad = 0
-    for _ in range(200):
-        t = random_tree(rng.randint(2, 16), rng)
-        if char_poly(t) != matching_char_poly(t):
+    for _ in range(1000):
+        t = random_tree(rng.randint(1, 16), rng)
+        if char_poly(t) != forest_char_poly(t):
             bad += 1
-    r.check("char_poly == matching recurrence on 200 random trees", bad == 0, f"{bad} bad")
+    r.check("char_poly == matching polynomial on 1000 random trees, n<=16", bad == 0, f"{bad} bad")
 
     bad = 0
     for n in range(2, n_max + 1):
@@ -108,29 +111,14 @@ def suite_identities(r: _Runner, n_max: int):
     r.check(f"sum of deleted char polys == derivative, trees n<={n_max}", bad == 0)
 
     bad = 0
-    for _ in range(100):
-        t = random_tree(rng.randint(2, 14), rng)
-        counts = matching_counts(t)
-        phi = char_poly(t)
-        for k, mk in enumerate(counts):
-            want = -mk if k % 2 else mk
-            got = phi[t.n - 2 * k] if t.n - 2 * k < len(phi) else 0
-            if got != want:
-                bad += 1
-    r.check("matching counts match char poly coefficients, 100 random trees", bad == 0)
-
-    bad = 0
     for _ in range(50):
-        deg = rng.randint(1, 8)
-        psi = [rng.randint(-4, 4) for _ in range(deg)] + [1]
-        from .polynomials import squarefree_part
-
-        psi = squarefree_part(psi)
+        deg = rng.randint(1, 9)
+        psi = squarefree_part([rng.randint(-4, 4) for _ in range(deg)] + [1])
         ps = power_sums(psi)
         for k in range(len(ps)):
             if trace_over_roots([0] * k + [1], [1], psi) != ps[k]:
                 bad += 1
-    r.check("trace over roots of theta^k equals Newton power sums", bad == 0)
+    r.check("trace over roots of theta^k equals Newton power sums, 50 random degrees <=9", bad == 0)
 
     bad = 0
     worst = 0.0
@@ -171,14 +159,15 @@ def suite_identities(r: _Runner, n_max: int):
     bad = 0
     for _ in range(1000):
         t = random_tree(rng3.randint(1, 20), rng3)
-        if parse_graph6(write_graph6(t)).edges != t.edges:
+        text = write_graph6(t)
+        back = parse_graph6(text)
+        if (back.n, back.edges) != (t.n, t.edges) or write_graph6(back) != text:
             bad += 1
-    r.check("graph6 round trip on 1000 random trees", bad == 0)
+    r.check("graph6 round trip on 1000 random trees, n<=20", bad == 0)
 
 
 def suite_structural(r: _Runner, n_max: int):
     from .exact import _SpectralContext
-    from .polynomials import poly_mul, squarefree_part
 
     bad_sym = bad_row = bad_neg = bad_psd = bad_trace = 0
     for n in range(2, n_max + 1):
@@ -306,11 +295,14 @@ def suite_rooted(r: _Runner, n_max: int):
 def suite_lowerbound(r: _Runner, n_max: int):
     bad_cert = bad_rank = bad_aux = bad_cor = bad_leaf = 0
     count = 0
+    cases = set()
     for t in _simple_trees(3, n_max):
         n = t.n
         try:
-            leaf_next_to_degree_two(t)
-        except Exception:
+            u, v = leaf_next_to_degree_two(t)
+            if t.degrees()[u] != 1 or t.degrees()[v] != 2:
+                bad_leaf += 1
+        except (ConsistencyError, DomainError):
             bad_leaf += 1
         if not (forest_has_perfect_matching(t) or near_perfect_vertex(t) is not None):
             bad_cor += 1
@@ -318,9 +310,10 @@ def suite_lowerbound(r: _Runner, n_max: int):
             continue
         count += 1
         cert = lower_bound_certificate(t)
+        cases.add(cert.case)
         if cert.det == 0 or cert.det != cert.closed_form_det:
             bad_cert += 1
-        if rank_via_coefficient(t) < 3:
+        if average_mixing_exact(t).rank < 3:
             bad_rank += 1
         if cert.case == "C1":
             u, v, w = cert.vertices
@@ -337,21 +330,26 @@ def suite_lowerbound(r: _Runner, n_max: int):
     r.check(f"leaf next to a degree-two vertex exists, simple trees n<={n_max}", bad_leaf == 0)
     r.check("perfect or near-perfect matching exists for simple trees", bad_cor == 0)
     r.check(f"certificates valid on {count} simple trees (closed form, nonzero)", bad_cert == 0)
-    r.check("certified trees have rank >= 3", bad_rank == 0)
+    r.check("certified trees have exact average mixing rank >= 3", bad_rank == 0)
     r.check("perfect-matching case auxiliary counts verified", bad_aux == 0)
+    # all three cases occur from order 6 on
+    r.check(f"certificate cases seen: {sorted(cases)}", n_max < 6 or cases == {"C1", "C2", "C3"})
 
 
 def suite_float(r: _Runner, n_max: int):
+    # exact matrices cost most of the suite past order 10
+    n_exact = min(n_max, 10)
     worst = 0.0
     bad = 0
-    for n in range(2, n_max + 1):
+    for n in range(2, n_exact + 1):
         for t in enumerate_trees(n):
             res = average_mixing_exact(t)
-            gap = float(np.max(np.abs(average_mixing_float(t) - _float_of(res.matrix))))
+            approx = average_mixing_float(t)
+            gap = float(np.max(np.abs(approx - _float_of(res.matrix))))
             worst = max(worst, gap)
-            if gap > 1e-9 or numeric_rank(average_mixing_float(t)) != res.rank:
+            if gap > 1e-9 or numeric_rank(approx) != res.rank:
                 bad += 1
-    r.check(f"float average mixing within 1e-9 of exact, trees n<={n_max}", bad == 0, f"worst {worst:.1e}")
+    r.check(f"float average mixing within 1e-9 of exact, same rank, trees n<={n_exact}", bad == 0, f"worst {worst:.1e}")
 
     bad = 0
     for n in range(2, n_max + 1):
@@ -384,13 +382,14 @@ def suite_float(r: _Runner, n_max: int):
 
     worst = 0.0
     bad = 0
-    for t in _simple_trees(2, n_max):
+    for t in _simple_trees(2, n_exact):
         resd = verify_cvdv_identity(t)
         worst = max(worst, resd)
         if resd > 1e-7:
             bad += 1
-    r.check(f"coefficient factorization residual < 1e-7, simple trees n<={n_max}", bad == 0, f"worst {worst:.1e}")
+    r.check(f"coefficient factorization residual < 1e-7, simple trees n<={n_exact}", bad == 0, f"worst {worst:.1e}")
 
+    worst = 0.0
     bad = 0
     for n in range(2, min(n_max, 6) + 1):
         for t in enumerate_trees(n):
@@ -399,9 +398,10 @@ def suite_float(r: _Runner, n_max: int):
             for horizon in (1e2, 1e3, 1e4):
                 ca = cesaro_average(t, horizon, int(20 * horizon))
                 errs.append(float(np.max(np.abs(ca - me))))
-            if not (errs[0] > errs[1] > errs[2]):
+            worst = max(worst, errs[-1])
+            if not (errs[0] > errs[1] > errs[2]) or errs[2] >= 5e-3:
                 bad += 1
-    r.check("time averages approach the exact matrix as the horizon grows", bad == 0)
+    r.check("time averages approach the exact matrix, error < 5e-3 at horizon 1e4", bad == 0, f"worst {worst:.1e}")
 
 
 def suite_stars(r: _Runner, n_max: int):
@@ -428,37 +428,50 @@ def suite_stars(r: _Runner, n_max: int):
 
 
 def suite_census_methods(r: _Runner, n_max: int):
-    recs = census(2, n_max, method="coeff-fast")
-    a = records_to_csv(recs)
-    b = records_to_csv(census(2, n_max, method="exact"))
-    c = records_to_csv(census(2, n_max, method="float"))
-    r.check(f"coeff-fast and exact censuses identical, n<={n_max}", a == b)
-    r.check(f"float census identical as well, n<={n_max}", a == c)
-    rep = compare_tables(recs)
-    r.check(f"census matches the published tables, n<={n_max}", rep.ok)
+    # the exact census is the slow one; it is compared up to order 8
+    n_exact = min(n_max, 8)
+    a = records_to_csv(census(2, n_exact, method="coeff-fast"))
+    b = records_to_csv(census(2, n_exact, method="exact"))
+    floats = census(2, n_max, method="float")
+    c = records_to_csv([rec for rec in floats if rec.n <= n_exact])
+    r.check(f"coeff-fast and exact censuses identical, n<={n_exact}", a == b)
+    r.check(f"float census identical as well, n<={n_exact}", a == c)
+    # equal cells give equal per-order totals, so this covers verify_totals
+    r.check(f"float census matches the published tables, n<={n_max}", compare_tables(floats).ok)
 
 
 SUITES = {
-    "identities": (suite_identities, 8),
+    "identities": (suite_identities, 10),
     "structural": (suite_structural, 8),
     "bipartite": (suite_bipartite, 12),
     "kernel": (suite_kernel, 8),
     "coefficient": (suite_coefficient, 10),
-    "rooted": (suite_rooted, 8),
+    "rooted": (suite_rooted, 10),
     "lowerbound": (suite_lowerbound, 12),
-    "float": (suite_float, 8),
+    "float": (suite_float, 12),
     "stars": (suite_stars, 11),
-    "census-methods": (suite_census_methods, 8),
+    "census-methods": (suite_census_methods, 12),
 }
 
 
 def run_suite(name: str, n_max: int | None = None, out=print) -> bool:
-    """Run one named suite (or "all"); returns True when every check passed."""
+    """Run one named suite (or "all"); returns True when every check passed.
+
+    n_max (default: each suite's own order) must be at least 2.  Under "all"
+    each suite's lines follow a `== suite NAME (S.SS s)` header that is
+    written once the suite is done, so it carries the suite's wall time.
+    """
+    if n_max is not None and n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     if name == "all":
         ok = True
         for key in SUITES:
-            out(f"== suite {key}")
-            ok = run_suite(key, n_max, out) and ok
+            lines = []
+            start = time.perf_counter()
+            ok = run_suite(key, n_max, lines.append) and ok
+            out(f"== suite {key} ({time.perf_counter() - start:.2f} s)")
+            for line in lines:
+                out(line)
         return ok
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; know {sorted(SUITES)} and 'all'")

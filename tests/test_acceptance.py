@@ -2,14 +2,12 @@
 
 Criterion 2 (extended census) is optional and runs only when AMM_EXTENDED
 is set; everything else gates the build.  The 18-vertex search is shared
-through the session-scoped fixtures in conftest.
+through the session-scoped fixtures in conftest.  Criteria 5-10 and 12 are
+the `avgmix verify` suites at their default sizes (see avgmix.verify).
 """
 
 import os
-import random
-from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from avgmix.census import (
@@ -19,23 +17,11 @@ from avgmix.census import (
     records_to_csv,
     verify_totals,
 )
-from avgmix.enumeration import enumerate_trees, random_tree
-from avgmix.exact import (
-    average_mixing_exact,
-    is_simple,
-    kernel_exact,
-    rank_via_coefficient,
-)
-from avgmix.graphs import path, rooted_product_k2, star
-from avgmix.matchings import (
-    forest_matching_counts,
-    lower_bound_certificate,
-    simple_from_matching_counts,
-)
-from avgmix.numeric import average_mixing_float, cesaro_average, verify_cvdv_identity
-from avgmix.polynomials import char_poly, matching_char_poly
+from avgmix.exact import average_mixing_exact
+from avgmix.polynomials import char_poly
 from avgmix.reference_data import REFERENCE_RANK_TABLE
-from avgmix.rooted_family import amm_rooted_product_exact, build_family, tstar_charpoly
+from avgmix.rooted_family import build_family, tstar_charpoly
+from avgmix.verify import run_suite
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -44,6 +30,14 @@ def report(criterion: str, passed: bool, detail: str = ""):
         line += f" -- {detail}"
     print(line)
     assert passed, line
+
+
+def report_suites(criterion: str, *names: str):
+    """Run each named `avgmix verify` suite at its default size and report."""
+    lines = []
+    ok = all([run_suite(name, out=lines.append) for name in names])
+    failures = [ln for ln in lines if ln.startswith("FAIL")]
+    report(criterion, ok, "; ".join(failures) or f"{len(lines)} checks of suite {' + '.join(names)} pass")
 
 
 def _table_cells(n):
@@ -125,108 +119,27 @@ def test_c04_family_rank_gaps(tstar):
 
 
 def test_c05_block_formula_equivalence():
-    checked = 0
-    for n in range(2, 11):
-        for t in enumerate_trees(n):
-            if not is_simple(t):
-                continue
-            if amm_rooted_product_exact(t) != average_mixing_exact(rooted_product_k2(t)).matrix:
-                report("5 block formula", False, f"disagreement at n={n}")
-            checked += 1
-    report("5 block formula", True, f"exact equality on all {checked} simple trees n<=10")
+    report_suites("5 block formula", "rooted")
 
 
 def test_c06_coefficient_rank_equivalence():
-    checked = 0
-    for n in range(2, 11):
-        for t in enumerate_trees(n):
-            if not is_simple(t):
-                continue
-            if rank_via_coefficient(t) != average_mixing_exact(t).rank:
-                report("6 coefficient rank", False, f"disagreement at n={n}")
-            checked += 1
-    report("6 coefficient rank", True, f"equal on all {checked} simple trees n<=10")
+    report_suites("6 coefficient rank", "coefficient")
 
 
 def test_c07_lower_bound_certificates():
-    certified = 0
-    for n in range(4, 13):
-        for t in enumerate_trees(n):
-            if not simple_from_matching_counts(t.n, forest_matching_counts(t)):
-                continue
-            if n == 4 and sorted(t.degrees()) == [1, 1, 2, 2]:
-                continue
-            cert = lower_bound_certificate(t)
-            rank = average_mixing_exact(t).rank
-            if cert.det == 0 or cert.det != cert.closed_form_det or rank < 3:
-                report("7 lower bound", False, f"n={n} cert {cert}")
-            certified += 1
-    report("7 lower bound", True, f"{certified} certificates, all nonzero and rank >= 3")
+    report_suites("7 lower bound", "lowerbound")
 
 
 def test_c08_matching_charpoly_identity():
-    rng = random.Random(160693)
-    for i in range(1000):
-        t = random_tree(rng.randint(1, 16), rng)
-        if matching_char_poly(t) != char_poly(t):
-            report("8 matching identity", False, f"tree {i}: {t.edges}")
-    report("8 matching identity", True, "1000 random trees n<=16, exact equality")
+    report_suites("8 matching identity", "identities")
 
 
 def test_c09_numerical_cross_validation():
-    worst_gap = 0.0
-    for n in range(2, 11):
-        for t in enumerate_trees(n):
-            exact = np.array([[float(c) for c in row] for row in average_mixing_exact(t).matrix])
-            worst_gap = max(worst_gap, float(np.max(np.abs(average_mixing_float(t) - exact))))
-    worst_res = 0.0
-    for n in range(2, 11):
-        for t in enumerate_trees(n):
-            if is_simple(t):
-                worst_res = max(worst_res, verify_cvdv_identity(t))
-    worst_ces = 0.0
-    for n in range(2, 7):
-        for t in enumerate_trees(n):
-            exact = np.array([[float(c) for c in row] for row in average_mixing_exact(t).matrix])
-            ca = cesaro_average(t, 1e4, 200_000)
-            worst_ces = max(worst_ces, float(np.max(np.abs(ca - exact))))
-    ok = worst_gap < 1e-9 and worst_res < 1e-7 and worst_ces < 5e-3
-    report(
-        "9 numerical cross-validation",
-        ok,
-        f"float gap {worst_gap:.1e} < 1e-9; factorization residual {worst_res:.1e} < 1e-7; "
-        f"time-average error {worst_ces:.1e} < 5e-3",
-    )
+    report_suites("9 numerical cross-validation", "float")
 
 
 def test_c10_structural_invariants():
-    for n in range(2, 9):
-        for t in enumerate_trees(n):
-            m = average_mixing_exact(t).matrix
-            sym = all(m[i][j] == m[j][i] for i in range(n) for j in range(n))
-            nonneg = all(c >= 0 for row in m for c in row)
-            rows = all(sum(row) == 1 for row in m)
-            if not (sym and nonneg and rows):
-                report("10 structural invariants", False, f"n={n}")
-    lifted = 0
-    for n in range(2, 9):
-        for t in enumerate_trees(n):
-            if not is_simple(t):
-                continue
-            basis = kernel_exact(average_mixing_exact(t).matrix)
-            if not basis:
-                continue
-            big = average_mixing_exact(rooted_product_k2(t)).matrix
-            zero = [Fraction(0)] * t.n
-            for v in basis:
-                for vec in (list(v) + zero, zero + list(v)):
-                    if any(sum(big[i][j] * vec[j] for j in range(2 * t.n)) != 0 for i in range(2 * t.n)):
-                        report("10 structural invariants", False, f"kernel lift fails n={n}")
-                    lifted += 1
-    report(
-        "10 structural invariants", True,
-        f"symmetry/nonnegativity/row sums exact on trees n<=8; {lifted} kernel lifts exact",
-    )
+    report_suites("10 structural invariants", "structural", "kernel")
 
 
 def test_c11_determinism(tmp_path):
@@ -259,10 +172,8 @@ def test_c11_determinism(tmp_path):
 
 
 def test_c12_star_comparison_report(capsys):
-    from avgmix.verify import run_suite
-
     lines = []
-    ok = run_suite("stars", 11, out=lines.append)
+    ok = run_suite("stars", out=lines.append)
     emitted = sum(1 for ln in lines if "leaves=" in ln)
     with capsys.disabled():
         print()

@@ -1,10 +1,12 @@
 import os
+import re
 import subprocess
 import sys
 
 import avgmix
 import avgmix.polynomials as polynomials_module
 import avgmix.rooted_family as rooted_family
+import avgmix.verify as verify
 from avgmix.cli import main
 from avgmix.graph6 import write_graph6
 from avgmix.graphs import path, star, write_edge_list
@@ -126,9 +128,21 @@ def test_compare_detects_corruption(tmp_path, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
-def test_verify_cli(capsys):
+def test_verify_cli(monkeypatch, capsys):
     assert main(["verify", "--suite", "census-methods", "--n-max", "5"]) == 0
-    assert "PASS" in capsys.readouterr().out
+    assert re.fullmatch(r"PASS \(\d+\.\d\d s\)", capsys.readouterr().out.splitlines()[-1])
+    for suite, n_max in (("structural", "0"), ("float", "-3"), ("all", "1")):
+        assert main(["verify", "--suite", suite, "--n-max", n_max]) == 2
+        assert "n_max must be at least 2" in capsys.readouterr().err
+
+    def one_check(r, n_max):
+        r.check(f"n_max={n_max}", True)
+
+    # under "all", each suite's timed header precedes its lines
+    monkeypatch.setattr(verify, "SUITES", {"a": (one_check, 3), "b": (one_check, 4)})
+    assert main(["verify", "--suite", "all"]) == 0
+    lines = [re.sub(r"\d+\.\d\d s", "T s", ln) for ln in capsys.readouterr().out.splitlines()]
+    assert lines == ["== suite a (T s)", "ok   n_max=3", "== suite b (T s)", "ok   n_max=4", "PASS (T s)"]
 
 
 def test_family_cli_with_cache(tmp_path, tstar, capsys):

@@ -2,14 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from avgmix.enumeration import enumerate_trees
 from avgmix.errors import DomainError
 from avgmix.exact import (
     average_mixing_exact,
     coefficient_matrix,
     exact_rank,
     is_psd_exact,
-    is_simple,
     kernel_exact,
     rank_via_coefficient,
     rat_matrix_from_csv,
@@ -20,6 +18,7 @@ from avgmix.exact import (
     weighted_projector_schur_sum,
 )
 from avgmix.graphs import Graph, path, rooted_product_k2, star
+from avgmix.verify import run_suite
 
 HALF = Fraction(1, 2)
 
@@ -120,13 +119,6 @@ def test_rank_via_coefficient():
         rank_via_coefficient(star(4))
 
 
-def test_coefficient_rank_equals_exact_rank_simple_trees():
-    for n in range(2, 10):
-        for t in enumerate_trees(n):
-            if is_simple(t):
-                assert rank_via_coefficient(t) == average_mixing_exact(t).rank
-
-
 def test_kernel():
     assert kernel_exact([[1, 0], [0, 1]]) == []
     basis = kernel_exact(average_mixing_exact(path(4)).matrix)
@@ -146,26 +138,9 @@ def test_strongly_cospectral_pairs():
 
 def test_bipartite_rank_bound_to_twelve():
     # trees are bipartite: with all eigenvalues distinct the rank never
-    # exceeds ceil(n/2)
-    for n in range(2, 13):
-        for t in enumerate_trees(n):
-            if is_simple(t):
-                assert rank_via_coefficient(t) <= (n + 1) // 2
-
-
-def test_weighted_sums_share_the_kernel():
-    weights = [([2], [4, 0, 1]), ([1], [1, 0, 1]), ([3], [9, 0, 0, 0, 1])]
-    for n in range(2, 9):
-        for t in enumerate_trees(n):
-            basis = kernel_exact(average_mixing_exact(t).matrix)
-            if not basis:
-                continue
-            for w_num, w_den in weights:
-                g = weighted_projector_schur_sum(t, w_num, w_den)
-                for v in basis:
-                    assert all(
-                        sum(g[i][j] * v[j] for j in range(t.n)) == 0 for i in range(t.n)
-                    )
+    # exceeds ceil(n/2); the `bipartite` suite checks every order up to 12
+    lines = []
+    assert run_suite("bipartite", out=lines.append), [ln for ln in lines if ln.startswith("FAIL")]
 
 
 def test_weighted_projector_sum_is_block_ingredient():
