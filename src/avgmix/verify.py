@@ -1,12 +1,12 @@
-"""Named invariant suites: the one home of every exhaustive or random sweep.
+"""Named invariant suites: the exhaustive and random sweeps.
 
 Each suite walks a family of graphs and checks the cross-route identities
 the package is built on.  A suite returns True only if every check passed;
 checks print one line each so failures are attributable.  `avgmix verify`
 runs them, and pytest runs each suite once at its default size: criteria
 5-10 and 12 in tests/test_acceptance.py, `bipartite` in tests/test_exact.py
-and `census-methods` in tests/test_census.py.  The unit tests keep the
-hand-worked examples and the behaviour no suite checks.
+and `census-methods` in tests/test_census.py.  Some unit tests still
+sweep the same invariants over ranges the suites cover.
 """
 
 from __future__ import annotations

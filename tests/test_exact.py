@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from avgmix.enumeration import enumerate_trees
 from avgmix.errors import DomainError
 from avgmix.exact import (
     average_mixing_exact,
     coefficient_matrix,
     exact_rank,
     is_psd_exact,
+    is_simple,
     kernel_exact,
     rank_via_coefficient,
     rat_matrix_from_csv,
@@ -119,6 +121,13 @@ def test_rank_via_coefficient():
         rank_via_coefficient(star(4))
 
 
+def test_coefficient_rank_equals_exact_rank_simple_trees():
+    for n in range(2, 10):
+        for t in enumerate_trees(n):
+            if is_simple(t):
+                assert rank_via_coefficient(t) == average_mixing_exact(t).rank
+
+
 def test_kernel():
     assert kernel_exact([[1, 0], [0, 1]]) == []
     basis = kernel_exact(average_mixing_exact(path(4)).matrix)
@@ -141,6 +150,21 @@ def test_bipartite_rank_bound_to_twelve():
     # exceeds ceil(n/2); the `bipartite` suite checks every order up to 12
     lines = []
     assert run_suite("bipartite", out=lines.append), [ln for ln in lines if ln.startswith("FAIL")]
+
+
+def test_weighted_sums_share_the_kernel():
+    weights = [([2], [4, 0, 1]), ([1], [1, 0, 1]), ([3], [9, 0, 0, 0, 1])]
+    for n in range(2, 9):
+        for t in enumerate_trees(n):
+            basis = kernel_exact(average_mixing_exact(t).matrix)
+            if not basis:
+                continue
+            for w_num, w_den in weights:
+                g = weighted_projector_schur_sum(t, w_num, w_den)
+                for v in basis:
+                    assert all(
+                        sum(g[i][j] * v[j] for j in range(t.n)) == 0 for i in range(t.n)
+                    )
 
 
 def test_weighted_projector_sum_is_block_ingredient():

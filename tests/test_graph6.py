@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from avgmix.enumeration import random_tree
 from avgmix.errors import Graph6Error
 from avgmix.graph6 import parse_graph6, write_graph6
 from avgmix.graphs import from_edges, path, star
@@ -16,6 +19,16 @@ def test_small_fixtures():
     assert write_graph6(path(1)) == "@"
     assert parse_graph6("@").n == 1
     assert parse_graph6(write_graph6(star(4))).edges == star(4).edges
+
+
+def test_roundtrip_random_trees():
+    rng = random.Random(424242)
+    for _ in range(1000):
+        t = random_tree(rng.randint(1, 20), rng)
+        s = write_graph6(t)
+        back = parse_graph6(s)
+        assert back.n == t.n and back.edges == t.edges
+        assert write_graph6(back) == s
 
 
 def test_large_vertex_count_header():

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
-from avgmix.enumeration import enumerate_trees
+from avgmix.enumeration import enumerate_trees, random_tree
 from avgmix.errors import DomainError
 from avgmix.exact import is_simple
 from avgmix.graphs import from_edges, path, star
 from avgmix.matchings import (
+    counts_to_char_poly,
     forest_matching_counts,
     has_perfect_matching,
     leaf_next_to_degree_two,
@@ -13,6 +16,7 @@ from avgmix.matchings import (
     near_perfect_vertex,
     simple_from_matching_counts,
 )
+from avgmix.polynomials import char_poly
 
 
 def test_matching_counts_examples():
@@ -21,6 +25,13 @@ def test_matching_counts_examples():
     assert matching_counts(path(1)) == [1]
     with pytest.raises(DomainError):
         matching_counts(from_edges(3, [(0, 1)]))
+
+
+def test_counts_match_char_poly_coefficients():
+    rng = random.Random(123)
+    for _ in range(300):
+        t = random_tree(rng.randint(1, 16), rng)
+        assert counts_to_char_poly(t.n, matching_counts(t)) == char_poly(t)
 
 
 def test_simple_flag_from_counts_matches_char_poly_route():
@@ -57,6 +68,14 @@ def test_leaf_next_to_degree_two():
         leaf_next_to_degree_two(star(4))
 
 
+def test_leaf_next_to_degree_two_simple_trees_exhaustive():
+    for n in range(3, 13):
+        for t in enumerate_trees(n):
+            if simple_from_matching_counts(t.n, forest_matching_counts(t)):
+                u, v = leaf_next_to_degree_two(t)
+                assert t.degrees()[u] == 1 and t.degrees()[v] == 2
+
+
 def test_certificate_p6_by_hand():
     # u,v,w = 0,1,2 on the path; ell = 2, q = m_1(P3) = 2 -> det = 1 + 2(1-2) = -1
     cert = lower_bound_certificate(path(6))
@@ -81,6 +100,20 @@ def test_certificate_rejections():
         lower_bound_certificate(star(5))  # repeated eigenvalues
     with pytest.raises(DomainError):
         lower_bound_certificate(path(3))
+
+
+def test_certificates_exhaustive_to_ten():
+    seen = set()
+    for n in range(4, 11):
+        for t in enumerate_trees(n):
+            if not simple_from_matching_counts(t.n, forest_matching_counts(t)):
+                continue
+            if n == 4 and sorted(t.degrees()) == [1, 1, 2, 2]:
+                continue
+            cert = lower_bound_certificate(t)
+            assert cert.det != 0 and cert.det == cert.closed_form_det
+            seen.add(cert.case)
+    assert seen == {"C1", "C2", "C3"}
 
 
 def test_certificate_json_shape():

@@ -1,9 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from avgmix.enumeration import enumerate_trees, random_tree
 from avgmix.errors import DomainError
+from avgmix.exact import average_mixing_exact
 from avgmix.graphs import Graph, path, star
 from avgmix.numeric import (
     average_mixing_float,
@@ -16,6 +19,10 @@ from avgmix.numeric import (
     transition_matrix,
     verify_cvdv_identity,
 )
+
+
+def _exact_float(g):
+    return np.array([[float(c) for c in row] for row in average_mixing_exact(g).matrix])
 
 
 def test_eigh_examples():
@@ -66,6 +73,12 @@ def test_transition_and_mixing():
     assert np.allclose(mixing_at_time(path(3), 0.0), np.eye(3))
     # perfect state transfer across one edge at t = pi/2
     assert np.allclose(mixing_at_time(path(2), math.pi / 2), [[0, 1], [1, 0]], atol=1e-12)
+    rng = random.Random(31)
+    for _ in range(25):
+        t = random_tree(rng.randint(2, 9), rng)
+        m = mixing_at_time(t, rng.uniform(0, 20))
+        assert np.max(np.abs(m.sum(axis=1) - 1)) < 1e-9
+        assert np.max(np.abs(m.sum(axis=0) - 1)) < 1e-9
 
 
 def test_cesaro_average():
@@ -77,10 +90,45 @@ def test_cesaro_average():
         cesaro_average(path(2), 1.0, 0)
 
 
+def test_cesaro_improves_with_horizon():
+    for t in enumerate_trees(5):
+        me = _exact_float(t)
+        errs = [
+            float(np.max(np.abs(cesaro_average(t, horizon, int(20 * horizon)) - me)))
+            for horizon in (1e2, 1e3, 1e4)
+        ]
+        assert errs[0] > errs[1] > errs[2]
+
+
+def test_average_mixing_float_vs_exact():
+    for n in range(2, 9):
+        for t in enumerate_trees(n):
+            gap = np.max(np.abs(average_mixing_float(t) - _exact_float(t)))
+            assert gap < 1e-9
+
+
 def test_numeric_rank():
     assert numeric_rank(average_mixing_float(path(4))) == 2
     assert numeric_rank(average_mixing_float(star(6))) == 6
     assert numeric_rank(np.zeros((3, 3))) == 0
+    for n in range(2, 11):
+        for t in enumerate_trees(n):
+            assert numeric_rank(average_mixing_float(t)) == average_mixing_exact(t).rank
+
+
+def test_projectors_and_gap_simplicity_to_twelve():
+    # clustering at the default tolerance reproduces the exact simplicity
+    # flag, and the cluster projectors behave, for every tree to order 12
+    from avgmix.polynomials import char_poly, is_squarefree
+
+    for n in range(2, 13):
+        for t in enumerate_trees(n):
+            clusters = spectral_decomp(t)
+            assert (len(clusters) == t.n) == is_squarefree(char_poly(t))
+            total = sum(p for _, p in clusters)
+            assert np.max(np.abs(total - np.eye(t.n))) < 1e-9
+            for _, p in clusters:
+                assert np.max(np.abs(p @ p - p)) < 1e-9
 
 
 def test_empty_graph_mixing_is_identity():
@@ -94,6 +142,10 @@ def test_cvdv_identity():
     assert verify_cvdv_identity(path(4)) < 1e-8
     with pytest.raises(DomainError):
         verify_cvdv_identity(star(4))
+    for n in range(2, 9):
+        for t in enumerate_trees(n):
+            if average_mixing_exact(t).simple:
+                assert verify_cvdv_identity(t) < 1e-7
 
 
 def test_float_csv():

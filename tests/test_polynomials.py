@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import avgmix.polynomials as polynomials_module
@@ -11,13 +12,16 @@ from avgmix.polynomials import (
     char_poly,
     forest_char_poly,
     is_squarefree,
+    poly_add,
     poly_derivative,
     poly_divmod,
+    poly_eval,
     poly_from_text,
     poly_gcd_int,
     poly_inverse_mod,
     poly_mul,
     poly_to_text,
+    power_sums,
     squarefree_part,
     trace_over_roots,
     vertex_deleted_polys,
@@ -52,6 +56,13 @@ def test_forest_char_poly_examples():
     assert forest_char_poly(path(1)) == [0, 1]
 
 
+def test_char_equals_matching_on_random_trees():
+    rng = random.Random(11)
+    for _ in range(300):
+        t = random_tree(rng.randint(1, 16), rng)
+        assert char_poly(t) == forest_char_poly(t)
+
+
 def test_vertex_deleted_polys():
     vd = vertex_deleted_polys(path(3))
     assert vd[0] == [-1, 0, 1]      # delete a leaf: single edge remains
@@ -59,6 +70,15 @@ def test_vertex_deleted_polys():
     assert vd[2] == [-1, 0, 1]
     with pytest.raises(DomainError):
         vertex_deleted_polys(path(1))
+
+
+def test_derivative_identity_exhaustive():
+    for n in range(2, 11):
+        for t in enumerate_trees(n):
+            total = []
+            for p in vertex_deleted_polys(t):
+                total = poly_add(total, p)
+            assert total == poly_derivative(char_poly(t))
 
 
 def test_squarefree_examples():
@@ -94,8 +114,36 @@ def test_trace_over_roots_errors():
         trace_over_roots([1], [1], [])
 
 
+def test_trace_over_roots_newton_property():
+    rng = random.Random(5)
+    for _ in range(30):
+        psi = squarefree_part([rng.randint(-4, 4) for _ in range(rng.randint(1, 9))] + [1])
+        ps = power_sums(psi)
+        for k in range(len(ps)):
+            assert trace_over_roots([0] * k + [1], [1], psi) == ps[k]
+
+
 def test_trace_over_roots_scaling_invariance():
     assert trace_over_roots([1], [5, 1], [-3, -3, 3]) == Fraction(11, 29)
+
+
+def test_trace_over_roots_float_oracle():
+    rng = random.Random(77)
+    done = 0
+    while done < 200:
+        psi = [rng.randint(-5, 5) for _ in range(rng.randint(1, 12))] + [1]
+        if not is_squarefree(psi):
+            continue
+        num = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+        den = [rng.randint(1, 5), 0, 1]
+        try:
+            exact = trace_over_roots(num, den, psi)
+        except DomainError:
+            continue  # denominator shares a complex root pair with psi
+        roots = np.roots(list(reversed(psi)))
+        approx = complex(sum(poly_eval(num, z) / poly_eval(den, z) for z in roots))
+        assert abs(float(exact) - approx.real) + abs(approx.imag) < 1e-9 * max(1.0, abs(float(exact)))
+        done += 1
 
 
 def test_poly_inverse_mod():

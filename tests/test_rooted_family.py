@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from avgmix.enumeration import enumerate_trees
 from avgmix.errors import ConsistencyError, DomainError
-from avgmix.exact import average_mixing_exact
+from avgmix.exact import average_mixing_exact, is_simple, kernel_exact
 from avgmix.graphs import path, rooted_product_k2, star
 from avgmix.numeric import eigh
-from avgmix.polynomials import is_squarefree
+from avgmix.polynomials import char_poly, is_squarefree
 from avgmix.rooted_family import (
     amm_rooted_product_exact,
     build_family,
     k2_eigenbasis,
     k2_spectrum_map,
     load_t_star,
+    rooted_product_char_poly,
     search_low_rank_simple_trees,
     tstar_charpoly,
 )
@@ -66,6 +68,39 @@ def test_block_formula_rejects_repeated_spectrum():
         amm_rooted_product_exact(star(4))
     # P3 has squarefree char poly and is accepted
     assert amm_rooted_product_exact(path(3)) == average_mixing_exact(rooted_product_k2(path(3))).matrix
+
+
+def test_block_formula_equals_direct_exhaustive_small():
+    for n in range(2, 8):
+        for t in enumerate_trees(n):
+            if is_simple(t):
+                assert amm_rooted_product_exact(t) == average_mixing_exact(rooted_product_k2(t)).matrix
+
+
+def test_kernel_lifting_small():
+    for n in range(2, 8):
+        for t in enumerate_trees(n):
+            if not is_simple(t):
+                continue
+            basis = kernel_exact(average_mixing_exact(t).matrix)
+            if not basis:
+                continue
+            big = average_mixing_exact(rooted_product_k2(t)).matrix
+            from fractions import Fraction
+
+            zero = [Fraction(0)] * t.n
+            for v in basis:
+                for vec in (list(v) + zero, zero + list(v)):
+                    assert all(
+                        sum(big[i][j] * vec[j] for j in range(2 * t.n)) == 0
+                        for i in range(2 * t.n)
+                    )
+
+
+def test_rooted_product_char_poly_identity():
+    for n in range(1, 7):
+        for t in enumerate_trees(n):
+            assert rooted_product_char_poly(char_poly(t), t.n) == char_poly(rooted_product_k2(t))
 
 
 def test_search_hits_independent_of_threads_and_chunk_size():
