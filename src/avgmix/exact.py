@@ -1,13 +1,13 @@
 """Exact rational computation of average mixing matrices and their ranks.
 
-Everything here stays in exact arithmetic.  The average mixing matrix of a
-graph with adjacency matrix A and distinct eigenvalues theta_r is the sum
-of the squared spectral idempotents E_r o E_r.  With psi the squarefree
-part of the characteristic polynomial, E_theta = q_theta(A) / psi'(theta)
-where q_theta(x) = psi(x)/(x - theta), so every entry of the average mixing
-matrix is a sum of p(theta)^2 / psi'(theta)^2 over the roots of psi, which
-RootSumContext evaluates through Newton power sums without ever touching a
-root numerically.
+Everything here stays in exact arithmetic.  With psi (degree d) the
+squarefree part of the characteristic polynomial of A, the average mixing
+matrix is sum_theta E_theta o E_theta, where E_theta = q_theta(A)/psi'(theta)
+and q_theta(x) = psi(x)/(x - theta).  Entry (u, v) is L(q_theta(A)_uv^2) for
+the linear form L(f) = sum_theta f(theta)/psi'(theta)^2.  RootSumContext
+gives the 2d-1 moments L(x^m) over one denominator D by Newton power sums,
+never touching a root numerically, so D times the matrix is an integer
+Hankel form in the coefficients of each q_theta(A)_uv, ranked on integers.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import DomainError
 from .graphs import Graph
@@ -26,22 +27,25 @@ from .polynomials import (
     degree,
     forest_char_poly,
     is_squarefree,
-    poly_add,
     poly_derivative,
     poly_mod_monic_int,
     poly_mul,
-    poly_scale,
     poly_shift,
     squarefree_part,
+    vertex_deleted_polys,
 )
 
 RatMatrix = list[list[Fraction]]
 
 
+def _phi(x: Graph) -> IntPoly:
+    """Characteristic polynomial; forests take the matching-count route."""
+    return forest_char_poly(x) if x.is_forest() else char_poly(x)
+
+
 def is_simple(x: Graph) -> bool:
     """True when all adjacency eigenvalues are distinct (squarefree char poly)."""
-    phi = forest_char_poly(x) if x.is_forest() else char_poly(x)
-    return is_squarefree(phi)
+    return is_squarefree(_phi(x))
 
 
 @dataclass
@@ -52,68 +56,51 @@ class AmmResult:
     n: int
 
 
-class _SpectralContext:
-    """Adjacency powers and the synthetic-division coefficient polynomials.
-
-    q_theta(x) = psi(x)/(x - theta) = sum_k c_k(theta) x^k with
-    c_{d-1} = 1 and c_{k-1}(theta) = psi_k + theta c_k(theta), so the
-    idempotent entry numerator is p_uv(theta) = sum_k c_k(theta) (A^k)_uv.
-    """
-
-    def __init__(self, x: Graph, psi: IntPoly):
-        n = x.n
-        d = degree(psi)
-        nbr = x.neighbors()
-        apow = [[[1 if i == j else 0 for j in range(n)] for i in range(n)]]
-        for _ in range(d - 1):
-            prev = apow[-1]
-            nxt = []
-            for i in range(n):
-                row = [0] * n
-                for w in nbr[i]:
-                    pw = prev[w]
-                    for j in range(n):
-                        row[j] += pw[j]
-                nxt.append(row)
-            apow.append(nxt)
-        cpolys: list[IntPoly] = [[] for _ in range(d)]
-        cpolys[d - 1] = [1]
-        for k in range(d - 1, 0, -1):
-            cpolys[k - 1] = poly_add([psi[k]], poly_shift(cpolys[k], 1))
-        self.apow = apow
-        self.cpolys = cpolys
-        self.deg = d
-
-    def entry_poly(self, u: int, v: int) -> IntPoly:
-        p: IntPoly = []
-        for k in range(self.deg):
-            a = self.apow[k][u][v]
-            if a:
-                p = poly_add(p, poly_scale(self.cpolys[k], a))
-        return p
-
-
 def average_mixing_exact(x: Graph) -> AmmResult:
     """Exact rational average mixing matrix, its rank, and the simple flag."""
-    phi = char_poly(x)
-    matrix = _weighted_schur_sum(x, phi, [1], [1])
-    return AmmResult(matrix, exact_rank(matrix), is_squarefree(phi), x.n)
+    phi = _phi(x)
+    scaled, denom = _scaled_schur_sum(x, phi, [1], [1])
+    return AmmResult(_over(scaled, denom), exact_rank(scaled), is_squarefree(phi), x.n)
 
 
-def _weighted_schur_sum(x: Graph, phi: IntPoly, w_num: IntPoly, w_den: IntPoly) -> RatMatrix:
+def _scaled_schur_sum(x: Graph, phi: IntPoly, w_num: IntPoly, w_den: IntPoly):
+    """(S, D): S = D * sum_theta w(theta) E_theta o E_theta is an integer matrix.
+
+    S_uv = b^T H b for the Hankel matrix H_ij = D L(x^(i+j)), L(f) = sum_theta
+    w f / psi'^2, and b_m = (B_m)_uv, the coefficient of theta^m in
+    q_theta(A)_uv: B_(d-1) = I and B_(m-1) = A B_m + psi_m I (Horner).
+    """
     psi = squarefree_part(phi)
+    d = degree(psi)
     dpsi = poly_derivative(psi)
-    weight = poly_mod_monic_int(poly_mul(w_den, poly_mul(dpsi, dpsi)), psi)
-    rs = RootSumContext(psi, weight)
-    ctx = _SpectralContext(x, psi)
-    n = x.n
-    out: RatMatrix = [[Fraction(0)] * n for _ in range(n)]
+    rs = RootSumContext(psi, poly_mod_monic_int(poly_mul(w_den, poly_mul(dpsi, dpsi)), psi))
+    moments = [int(rs.sum_ratio(poly_shift(w_num, m)) * rs.denom) for m in range(2 * d - 1)]
+    hankel = [moments[i : i + d] for i in range(d)]
+    n, nbr = x.n, x.neighbors()
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for m in range(d - 1, 0, -1):
+        prev, nxt = powers[-1], []
+        for i in range(n):
+            row = [0] * n
+            for w in nbr[i]:  # row i of A B sums the rows of B at i's neighbours
+                row = list(map(add, row, prev[w]))
+            row[i] += psi[m]
+            nxt.append(row)
+        powers.append(nxt)
+    powers.reverse()
+    out = [[0] * n for _ in range(n)]
     for u in range(n):
-        for v in range(u, n):
-            p = ctx.entry_poly(u, v)
-            val = rs.sum_ratio(poly_mul(w_num, poly_mul(p, p)))
-            out[u][v] = val
-            out[v][u] = val
+        for v, b in enumerate(zip(*(bm[u][u:] for bm in powers)), u):
+            out[u][v] = out[v][u] = sum(bi * sum(map(mul, b, h)) for bi, h in zip(b, hankel) if bi)
+    return out, rs.denom
+
+
+def _over(scaled: list[list[int]], denom: int) -> RatMatrix:
+    """scaled / denom with one Fraction per unordered pair, shared by (u, v) and (v, u)."""
+    out = [row[:] for row in scaled]
+    for u, row in enumerate(scaled):
+        for v in range(u, len(row)):
+            out[u][v] = out[v][u] = Fraction(row[v], denom)
     return out
 
 
@@ -126,23 +113,26 @@ def weighted_projector_schur_sum(x: Graph, w_num: IntPoly, w_den: IntPoly) -> Ra
     """
     if not w_den:
         raise DomainError("weight denominator is zero")
-    return _weighted_schur_sum(x, char_poly(x), w_num, w_den)
+    return _over(*_scaled_schur_sum(x, _phi(x), w_num, w_den))
 
 
 def exact_rank(mat) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination.
 
-    Rows are scaled to integers first; the pivot is always the lowest-index
-    row with a nonzero entry in the current column, so the computation is
-    reproducible bit for bit.
+    Rows of Python ints are taken as they are; any other row is scaled by
+    the lcm of its entries' denominators.  The pivot is always the
+    lowest-index row with a nonzero entry in the current column, so the
+    computation is reproducible bit for bit.
     """
     if not mat:
         return 0
     rows = []
     for row in mat:
-        fr = [Fraction(c) for c in row]
-        den = math.lcm(*(c.denominator for c in fr)) if fr else 1
-        rows.append([int(c * den) for c in fr])
+        if not all(type(c) is int for c in row):
+            fr = [Fraction(c) for c in row]
+            den = math.lcm(*(c.denominator for c in fr))
+            row = [int(c * den) for c in fr]
+        rows.append(list(row))
     nrows = len(rows)
     ncols = len(rows[0])
     prev = 1
@@ -208,8 +198,6 @@ def coefficient_matrix(x: Graph) -> list[list[int]]:
     """Row u holds the coefficients of char_poly(X - u); column r is t^(r-1)."""
     if x.n < 2:
         raise DomainError("coefficient matrix needs at least two vertices")
-    from .polynomials import vertex_deleted_polys
-
     rows = []
     for p in vertex_deleted_polys(x):
         rows.append(list(p) + [0] * (x.n - len(p)))

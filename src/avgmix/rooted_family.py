@@ -36,7 +36,7 @@ from .exact import (
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, Tree, rooted_product_k2
 from .matchings import forest_matching_counts, simple_from_matching_counts
-from .polynomials import IntPoly, char_poly, is_squarefree, poly_mul, poly_scale, poly_shift
+from .polynomials import IntPoly, char_poly, is_squarefree, poly_add, poly_mul, poly_scale, poly_shift
 
 # Factors of the characteristic polynomial of the distinguished 18-vertex
 # tree, ascending coefficients; their expanded product is the acceptance
@@ -108,8 +108,6 @@ def rooted_product_char_poly(phi: IntPoly, n: int) -> IntPoly:
     """
     out: IntPoly = []
     tsq_minus_1_pow: IntPoly = [1]
-    from .polynomials import poly_add
-
     for k, c in enumerate(phi):
         if c:
             term = poly_shift(poly_scale(tsq_minus_1_pow, c), n - k)
@@ -131,12 +129,11 @@ def amm_rooted_product_exact(x: Graph) -> RatMatrix:
     n = x.n
     out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
     for u in range(n):
-        for v in range(n):
+        for v in range(u, n):
             diag = mh[u][v] - nmat[u][v]
-            out[u][v] = diag
-            out[n + u][n + v] = diag
-            out[u][n + v] = nmat[u][v]
-            out[n + u][v] = nmat[u][v]
+            off = nmat[u][v]
+            out[u][v] = out[v][u] = out[n + u][n + v] = out[n + v][n + u] = diag
+            out[u][n + v] = out[v][n + u] = out[n + u][v] = out[n + v][u] = off
     return out
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from avgmix.census import census
 from avgmix.rooted_family import confirm_unique_low_rank_tree, search_low_rank_simple_trees
 
 
@@ -12,3 +13,9 @@ def tstar_hits():
 @pytest.fixture(scope="session")
 def tstar(tstar_hits):
     return confirm_unique_low_rank_tree(tstar_hits)
+
+
+@pytest.fixture(scope="session")
+def census_2_12():
+    """The coeff-fast census of orders 2..12, shared by the table comparisons."""
+    return census(2, 12, method="coeff-fast")

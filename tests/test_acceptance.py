@@ -48,8 +48,8 @@ def _census_cells(recs, n):
     return {r.rank: (r.trees, r.simple_trees) for r in recs if r.n == n}
 
 
-def test_c01_census_reproduction():
-    recs = census(2, 12, method="coeff-fast")
+def test_c01_census_reproduction(census_2_12):
+    recs = census_2_12
     verify_totals(recs)
     bad = [n for n in range(2, 13) if _census_cells(recs, n) != _table_cells(n)]
     if not bad:

@@ -40,8 +40,8 @@ def test_float_classification_decomposes_each_tree_once(monkeypatch):
     assert len(calls) == len(trees)
 
 
-def test_census_matches_reference_small():
-    recs = census(2, 9)
+def test_census_matches_reference_small(census_2_12):
+    recs = census_2_12
     by_cell = {(r.n, r.rank): (r.trees, r.simple_trees) for r in recs}
     for n in range(2, 10):
         for rank, trees, simple in REFERENCE_RANK_TABLE[n]:
@@ -133,6 +133,6 @@ def test_compare_flags_mismatches_with_certificates():
     assert "MISMATCH" in rep.render()
 
 
-def test_compare_min_rank_row():
-    rep = compare_tables(census(2, 10))
+def test_compare_min_rank_row(census_2_12):
+    rep = compare_tables(census_2_12)
     assert rep.ok  # includes the min-rank row: n=10 -> 4, n=7 -> 4

@@ -134,6 +134,9 @@ def test_verify_cli(monkeypatch, capsys):
     for suite, n_max in (("structural", "0"), ("float", "-3"), ("all", "1")):
         assert main(["verify", "--suite", suite, "--n-max", n_max]) == 2
         assert "n_max must be at least 2" in capsys.readouterr().err
+    # --n-max bounds the star comparison too
+    assert main(["verify", "--suite", "stars", "--n-max", "3"]) == 0
+    assert re.findall(r"leaves=(\d+)", capsys.readouterr().out) == ["2", "3"]
 
     def one_check(r, n_max):
         r.check(f"n_max={n_max}", True)

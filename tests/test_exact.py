@@ -70,11 +70,18 @@ def test_empty_graph_identity():
 
 
 def test_exact_rank_basics():
+    import numpy as np
+
     assert exact_rank([]) == 0
     assert exact_rank([[0, 0], [0, 0]]) == 0
     assert exact_rank([[1, 0], [0, 1]]) == 2
     assert exact_rank([[Fraction(1, 2), 1], [1, 2]]) == 1
     assert exact_rank([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 2
+    ints = [[2, 4, 6], [1, 2, 3]]
+    assert exact_rank(ints) == 1 and ints == [[2, 4, 6], [1, 2, 3]]  # rows copied, not eliminated in place
+    assert exact_rank([[1, Fraction(1, 2)], [2, 1]]) == 1  # a mixed row is scaled by its lcm
+    # fixed-width integers take the scaled route: in int64 the pivot product 2**64 wraps to 0
+    assert exact_rank([list(row) for row in np.array([[2**32, 0], [0, 2**32]], dtype=np.int64)]) == 2
 
 
 def test_exact_rank_matches_fraction_elimination_on_random():
