@@ -5,6 +5,7 @@ from .enumeration import enumerate_trees, random_tree
 from .errors import ConsistencyError, DomainError, Graph6Error, GraphInputError
 from .exact import (
     AmmResult,
+    amm_rank,
     average_mixing_exact,
     coefficient_matrix,
     exact_rank,

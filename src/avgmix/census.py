@@ -14,7 +14,7 @@ Methods:
   exact      rank and simplicity from the exact average mixing matrix;
   coeff-fast simplicity from matching counts, rank via the integer
              coefficient matrix for simple trees (the two ranks agree for
-             simple spectra) and via the exact matrix otherwise;
+             simple spectra) and via `amm_rank` otherwise;
   float      numeric rank of the floating average mixing matrix, simplicity
              from eigenvalue clustering.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .enumeration import enumerate_trees
 from .errors import ConsistencyError
-from .exact import average_mixing_exact, coefficient_matrix, exact_rank
+from .exact import amm_rank, average_mixing_exact, coefficient_matrix, exact_rank
 from .graph6 import parse_graph6, write_graph6
 from .matchings import forest_matching_counts, simple_from_matching_counts
 from .reference_data import (
@@ -66,7 +66,7 @@ def classify_tree(t, method: str) -> tuple[int, bool]:
         simple = simple_from_matching_counts(t.n, forest_matching_counts(t))
         if simple:
             return exact_rank(coefficient_matrix(t)), True
-        return average_mixing_exact(t).rank, False
+        return amm_rank(t), False
     if method == "float":
         from .numeric import numeric_rank, spectral_decomp
 

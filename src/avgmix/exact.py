@@ -3,13 +3,13 @@
 Everything here stays in exact arithmetic.  With psi (degree d) the
 squarefree part of the characteristic polynomial of A, the average mixing
 matrix is sum_theta E_theta o E_theta, where E_theta = q_theta(A)/psi'(theta)
-and q_theta(x) = psi(x)/(x - theta).  Entry (u, v) is L(q_theta(A)_uv^2) for
-the linear form L(f) = sum_theta f(theta)/psi'(theta)^2.  RootSumContext
-gives the 2d-1 moments L(x^m) over one denominator D by Newton power sums,
-never touching a root numerically, so D times the matrix is an integer
-Hankel form in the coefficients of each q_theta(A)_uv, ranked on integers.
+and q_theta(x) = psi(x)/(x - theta).  Entry (u, v) is a Hankel form in the
+coefficients of q_theta(A)_uv, built by one assembly from 2d-1 moments.
+For the matrix they are L(x^m), L(f) = sum_theta f(theta)/psi'(theta)^2,
+which RootSumContext gives over one denominator D by Newton power sums,
+never touching a root numerically.  For the rank alone, `amm_rank` takes
+the integer power sums of psi themselves; both matrices rank on integers.
 """
-
 from __future__ import annotations
 
 import json
@@ -31,6 +31,7 @@ from .polynomials import (
     poly_mod_monic_int,
     poly_mul,
     poly_shift,
+    power_sums,
     squarefree_part,
     vertex_deleted_polys,
 )
@@ -59,22 +60,41 @@ class AmmResult:
 def average_mixing_exact(x: Graph) -> AmmResult:
     """Exact rational average mixing matrix, its rank, and the simple flag."""
     phi = _phi(x)
-    scaled, denom = _scaled_schur_sum(x, phi, [1], [1])
-    return AmmResult(_over(scaled, denom), exact_rank(scaled), is_squarefree(phi), x.n)
-
-
-def _scaled_schur_sum(x: Graph, phi: IntPoly, w_num: IntPoly, w_den: IntPoly):
-    """(S, D): S = D * sum_theta w(theta) E_theta o E_theta is an integer matrix.
-
-    S_uv = b^T H b for the Hankel matrix H_ij = D L(x^(i+j)), L(f) = sum_theta
-    w f / psi'^2, and b_m = (B_m)_uv, the coefficient of theta^m in
-    q_theta(A)_uv: B_(d-1) = I and B_(m-1) = A B_m + psi_m I (Horner).
-    """
     psi = squarefree_part(phi)
-    d = degree(psi)
+    scaled, denom = _scaled_schur_sum(x, psi, [1], [1])
+    return AmmResult(_over(scaled, denom), exact_rank(scaled), degree(psi) == degree(phi), x.n)
+
+
+def amm_rank(x: Graph) -> int:
+    """Rank of the average mixing matrix of any graph, in integers only.
+
+    1. Each E_theta o E_theta is PSD (Schur product theorem).
+    2. So ker sum_theta w_theta E_theta o E_theta = intersection over theta of
+       ker E_theta o E_theta, for every choice of positive weights w_theta.
+    3. w_theta = psi'(theta)^2 > 0, since psi is squarefree with real roots.
+       It turns E_theta into q_theta(A), so entry (u, v) is the Hankel form
+       of the power sums s_m of psi, integers as psi is monic (a primitive
+       factor of the monic characteristic polynomial).
+    4. Only the real symmetry of A was used, so this holds for any graph.
+    """
+    psi = squarefree_part(_phi(x))
+    return exact_rank(_hankel_form(x, psi, power_sums(psi, 2 * degree(psi) - 1)))
+
+
+def _scaled_schur_sum(x: Graph, psi: IntPoly, w_num: IntPoly, w_den: IntPoly):
+    """(S, D): S = D * sum_theta w(theta) E_theta o E_theta is an integer matrix,
+    the Hankel form of the moments D L(x^m), L(f) = sum_theta w f / psi'^2."""
     dpsi = poly_derivative(psi)
     rs = RootSumContext(psi, poly_mod_monic_int(poly_mul(w_den, poly_mul(dpsi, dpsi)), psi))
-    moments = [int(rs.sum_ratio(poly_shift(w_num, m)) * rs.denom) for m in range(2 * d - 1)]
+    moments = [int(rs.sum_ratio(poly_shift(w_num, m)) * rs.denom) for m in range(2 * degree(psi) - 1)]
+    return _hankel_form(x, psi, moments), rs.denom
+
+
+def _hankel_form(x: Graph, psi: IntPoly, moments: list[int]) -> list[list[int]]:
+    """Entry (u, v) is b^T H b for the Hankel H_ij = moments[i+j] and b_m =
+    (B_m)_uv, the coefficient of theta^m in q_theta(A)_uv: B_(d-1) = I and
+    B_(m-1) = A B_m + psi_m I (Horner)."""
+    d = degree(psi)
     hankel = [moments[i : i + d] for i in range(d)]
     n, nbr = x.n, x.neighbors()
     powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
@@ -92,7 +112,7 @@ def _scaled_schur_sum(x: Graph, phi: IntPoly, w_num: IntPoly, w_den: IntPoly):
     for u in range(n):
         for v, b in enumerate(zip(*(bm[u][u:] for bm in powers)), u):
             out[u][v] = out[v][u] = sum(bi * sum(map(mul, b, h)) for bi, h in zip(b, hankel) if bi)
-    return out, rs.denom
+    return out
 
 
 def _over(scaled: list[list[int]], denom: int) -> RatMatrix:
@@ -113,7 +133,7 @@ def weighted_projector_schur_sum(x: Graph, w_num: IntPoly, w_den: IntPoly) -> Ra
     """
     if not w_den:
         raise DomainError("weight denominator is zero")
-    return _over(*_scaled_schur_sum(x, _phi(x), w_num, w_den))
+    return _over(*_scaled_schur_sum(x, squarefree_part(_phi(x)), w_num, w_den))
 
 
 def exact_rank(mat) -> int:
@@ -124,7 +144,7 @@ def exact_rank(mat) -> int:
     lowest-index row with a nonzero entry in the current column, so the
     computation is reproducible bit for bit.
     """
-    if not mat:
+    if len(mat) == 0:
         return 0
     rows = []
     for row in mat:
@@ -160,7 +180,7 @@ def exact_rank(mat) -> int:
 
 def kernel_exact(mat) -> list[list[Fraction]]:
     """Basis of the rational null space, from the reduced row echelon form."""
-    if not mat:
+    if len(mat) == 0:
         return []
     a = [[Fraction(c) for c in row] for row in mat]
     nrows = len(a)

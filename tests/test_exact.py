@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from avgmix.enumeration import enumerate_trees
+from avgmix.enumeration import enumerate_trees, random_tree
 from avgmix.errors import DomainError
 from avgmix.exact import (
+    amm_rank,
     average_mixing_exact,
     coefficient_matrix,
     exact_rank,
@@ -82,6 +83,8 @@ def test_exact_rank_basics():
     assert exact_rank([[1, Fraction(1, 2)], [2, 1]]) == 1  # a mixed row is scaled by its lcm
     # fixed-width integers take the scaled route: in int64 the pivot product 2**64 wraps to 0
     assert exact_rank([list(row) for row in np.array([[2**32, 0], [0, 2**32]], dtype=np.int64)]) == 2
+    assert exact_rank(np.array([[2**32, 0], [0, 2**32]], dtype=np.int64)) == 2  # a 2-D array as it is
+    assert kernel_exact(np.array([[1, 2], [2, 4]], dtype=np.int64)) == [[-2, 1]]
 
 
 def test_exact_rank_matches_fraction_elimination_on_random():
@@ -111,6 +114,27 @@ def test_exact_rank_low_rank_with_column_skips():
         for row in a:
             row.insert(at, 0)  # guaranteed pivot skip
         assert exact_rank(a) == int(np.linalg.matrix_rank(np.array(a, dtype=float)))
+
+
+def test_amm_rank_equals_exact_rank():
+    import random
+
+    graphs = [t for n in range(1, 13) for t in enumerate_trees(n)]
+    rng = random.Random(6)
+    graphs += [random_tree(n, rng) for n in (16, 18) for _ in range(20)]
+
+    def cycle(n):
+        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+    def complete(n):
+        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+    # cycles and complete graphs take char_poly and have repeated eigenvalues,
+    # as does the disconnected forest of two P3
+    graphs += [cycle(5), cycle(6), complete(4), complete(5), Graph(4, ())]
+    graphs.append(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
+    for g in graphs:
+        assert amm_rank(g) == average_mixing_exact(g).rank, g.edges
 
 
 def test_coefficient_matrix_p3():
