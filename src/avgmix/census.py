@@ -27,6 +27,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import re
 from dataclasses import dataclass
 
 from .enumeration import enumerate_trees
@@ -43,6 +44,8 @@ from .reference_data import (
 METHODS = ("exact", "coeff-fast", "float")
 CSV_HEADER = "n,rank,trees,simple_trees"
 CHECKPOINT_VERSION = 1
+CERTIFICATE_ORDER_CAP = 14
+CERTIFICATE_METHOD = "coeff-fast"
 
 
 @dataclass(frozen=True)
@@ -119,13 +122,22 @@ class _Checkpoint:
         if path and os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise CheckpointMismatch(f"checkpoint {path} is not a JSON object")
             stored = {k: data.get(k) for k in params}
             if data.get("version") != CHECKPOINT_VERSION or stored != params:
                 raise CheckpointMismatch(
                     f"checkpoint {path} was written by a different run "
                     f"(stored {stored}, requested {params})",
                 )
-            self.done = data["done"]
+            done = data.get("done")
+            if not isinstance(done, dict) or not all(
+                isinstance(tally, dict)
+                and all(re.fullmatch(r"\d+,[01]", k) and type(c) is int for k, c in tally.items())
+                for tally in done.values()
+            ):
+                raise CheckpointMismatch(f"checkpoint {path} has no valid 'done' tallies")
+            self.done = done
 
     def key(self, n: int, chunk_index: int) -> str:
         return f"{n}:{chunk_index}"
@@ -265,12 +277,7 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def compare_tables(
-    records,
-    collect_certificates: bool = True,
-    certificate_order_cap: int = 14,
-    certificate_method: str = "coeff-fast",
-) -> ComparisonReport:
+def compare_tables(records, collect_certificates: bool = True) -> ComparisonReport:
     """Cell-by-cell comparison of census records against the published tables.
 
     Known published-source inconsistencies are attached as notes for every
@@ -299,10 +306,10 @@ def compare_tables(
     notes = [KNOWN_DISCREPANCY_NOTES[n] for n in orders if n in KNOWN_DISCREPANCY_NOTES]
     certificates: dict[tuple[int, int], list[str]] = {}
     if collect_certificates and mismatches:
-        wanted = {(m.n, m.rank) for m in mismatches if m.n <= certificate_order_cap}
+        wanted = {(m.n, m.rank) for m in mismatches if m.n <= CERTIFICATE_ORDER_CAP}
         for n in sorted({c[0] for c in wanted}):
             for t in enumerate_trees(n):
-                rank, _ = classify_tree(t, certificate_method)
+                rank, _ = classify_tree(t, CERTIFICATE_METHOD)
                 if (n, rank) in wanted:
                     certificates.setdefault((n, rank), []).append(write_graph6(t))
     return ComparisonReport(orders, mismatches, min_rank_mismatches, notes, certificates)

@@ -1,14 +1,14 @@
 """Exact rational computation of average mixing matrices and their ranks.
 
 Everything here stays in exact arithmetic.  With psi (degree d) the
-squarefree part of the characteristic polynomial of A, the average mixing
-matrix is sum_theta E_theta o E_theta, where E_theta = q_theta(A)/psi'(theta)
-and q_theta(x) = psi(x)/(x - theta).  Entry (u, v) is a Hankel form in the
-coefficients of q_theta(A)_uv, built by one assembly from 2d-1 moments.
-For the matrix they are L(x^m), L(f) = sum_theta f(theta)/psi'(theta)^2,
-which RootSumContext gives over one denominator D by Newton power sums,
-never touching a root numerically.  For the rank alone, `amm_rank` takes
-the integer power sums of psi themselves; both matrices rank on integers.
+squarefree part of the characteristic polynomial of A, a weighted sum
+sum_theta w(theta) E_theta o E_theta, E_theta = q_theta(A)/psi'(theta) and
+q_theta(x) = psi(x)/(x - theta), has entry (u, v) a Hankel form in the
+coefficients of q_theta(A)_uv.  One assembly builds it from 2d-1 moments
+sum_theta theta^m r(theta), each the weight residue r convolved with the
+integer Newton power sums of psi, never touching a root numerically.  For
+the rank alone r = 1 (weight psi'^2); for the matrix r = D w/(psi'^2)
+mod psi over one common integer denominator D.  Both rank on integers.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from .polynomials import (
     poly_derivative,
     poly_mod_monic_int,
     poly_mul,
-    poly_shift,
     power_sums,
     squarefree_part,
     vertex_deleted_polys,
@@ -78,23 +77,27 @@ def amm_rank(x: Graph) -> int:
     4. Only the real symmetry of A was used, so this holds for any graph.
     """
     psi = squarefree_part(_phi(x))
-    return exact_rank(_hankel_form(x, psi, power_sums(psi, 2 * degree(psi) - 1)))
+    return exact_rank(_hankel_form(x, psi, [1]))
 
 
 def _scaled_schur_sum(x: Graph, psi: IntPoly, w_num: IntPoly, w_den: IntPoly):
     """(S, D): S = D * sum_theta w(theta) E_theta o E_theta is an integer matrix,
-    the Hankel form of the moments D L(x^m), L(f) = sum_theta w f / psi'^2."""
+    the Hankel form of the residue r = D w_num / (w_den psi'^2) mod psi, an
+    integer polynomial over RootSumContext's one denominator D."""
     dpsi = poly_derivative(psi)
     rs = RootSumContext(psi, poly_mod_monic_int(poly_mul(w_den, poly_mul(dpsi, dpsi)), psi))
-    moments = [int(rs.sum_ratio(poly_shift(w_num, m)) * rs.denom) for m in range(2 * degree(psi) - 1)]
-    return _hankel_form(x, psi, moments), rs.denom
+    return _hankel_form(x, psi, poly_mod_monic_int(poly_mul(w_num, rs.inv_scaled), psi)), rs.denom
 
 
-def _hankel_form(x: Graph, psi: IntPoly, moments: list[int]) -> list[list[int]]:
-    """Entry (u, v) is b^T H b for the Hankel H_ij = moments[i+j] and b_m =
-    (B_m)_uv, the coefficient of theta^m in q_theta(A)_uv: B_(d-1) = I and
-    B_(m-1) = A B_m + psi_m I (Horner)."""
+def _hankel_form(x: Graph, psi: IntPoly, residue: IntPoly) -> list[list[int]]:
+    """Entry (u, v) is sum_theta r(theta) q_theta(A)_uv^2 for the integer
+    residue r, that is b^T H b: H_ij = mu_(i+j), the moments mu_m =
+    sum_theta theta^m r(theta) = sum_k r_k s_(m+k) from the power sums s of
+    psi, and b_m = (B_m)_uv, the coefficient of theta^m in q_theta(A)_uv:
+    B_(d-1) = I and B_(m-1) = A B_m + psi_m I (Horner)."""
     d = degree(psi)
+    s = power_sums(psi, 2 * d - 2 + len(residue))
+    moments = [sum(map(mul, residue, s[m:])) for m in range(2 * d - 1)]
     hankel = [moments[i : i + d] for i in range(d)]
     n, nbr = x.n, x.neighbors()
     powers = [[[int(i == j) for j in range(n)] for i in range(n)]]

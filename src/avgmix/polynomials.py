@@ -52,10 +52,6 @@ def poly_sub(a, b):
     return normalize(out)
 
 
-def poly_neg(a):
-    return [-c for c in a]
-
-
 def poly_scale(a, s):
     if not s:
         return []
@@ -357,40 +353,31 @@ def poly_inverse_mod(f, m) -> RatPoly:
 def trace_over_roots(num, den, psi: IntPoly) -> Fraction:
     """Sum of num(theta)/den(theta) over the roots theta of squarefree psi.
 
-    Reduces num/den modulo psi (inverting den by extended Euclid) and pairs
-    the residue coefficients with the Newton power sums of psi's roots; no
-    root is ever computed.
+    One RootSumContext query against the monic form of psi: no root is
+    ever computed.
     """
-    if not psi:
-        raise DomainError("zero modulus")
     if not is_squarefree(psi):
         raise DomainError("psi must be squarefree")
-    d = degree(psi)
-    if d == 0:
+    if degree(psi) == 0:
         return Fraction(0)
     monic = [Fraction(c, psi[-1]) for c in psi]
-    inv = poly_inverse_mod(den, monic)
-    s = poly_mod(poly_mul(poly_mod(num, monic), inv), monic)
-    ps = power_sums(monic)
-    return Fraction(sum(s[k] * ps[k] for k in range(len(s))))
+    return RootSumContext(monic, den).sum_ratio(num)
 
 
 class RootSumContext:
-    """Shared state for many exact root-sums against one squarefree modulus.
+    """Exact root sums against one denominator over a squarefree monic modulus.
 
-    Precomputes the Newton power sums of psi and the inverse of a fixed
-    integer weight polynomial modulo psi (stored as an integer polynomial
-    over a common denominator), so that each query
+    Precomputes the Newton power sums of psi and the inverse of the
+    denominator modulo psi, stored as the integer polynomial `inv_scaled`
+    over one common denominator `denom`, so that each query
         sum over roots of  num(theta) / weight(theta)
-    costs only integer polynomial multiplication and reduction.
+    costs only polynomial multiplication and reduction.
     """
 
     def __init__(self, psi: IntPoly, weight: IntPoly):
         if not psi or psi[-1] != 1:
             raise DomainError("context modulus must be monic")
         self.psi = psi
-        d = degree(psi)
-        self.deg = d
         self.powers = power_sums(psi)
         inv = poly_inverse_mod(weight, psi)
         denom = math.lcm(*(c.denominator for c in inv)) if inv else 1

@@ -36,6 +36,7 @@ from .exact import (
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, Tree, rooted_product_k2
 from .matchings import forest_matching_counts, simple_from_matching_counts
+# is_squarefree is not called here; perfbench/layers.py wraps avgmix.rooted_family:is_squarefree
 from .polynomials import IntPoly, char_poly, is_squarefree, poly_add, poly_mul, poly_scale, poly_shift
 
 # Factors of the characteristic polynomial of the distinguished 18-vertex
@@ -122,9 +123,10 @@ def amm_rooted_product_exact(x: Graph) -> RatMatrix:
     Requires X to have all eigenvalues distinct; equals the direct exact
     computation on rooted_product_k2(x) entry for entry.
     """
-    if not is_squarefree(char_poly(x)):
+    amm = average_mixing_exact(x)
+    if not amm.simple:
         raise DomainError("block formula requires distinct eigenvalues")
-    mh = average_mixing_exact(x).matrix
+    mh = amm.matrix
     nmat = weighted_projector_schur_sum(x, [2], [4, 0, 1])
     n = x.n
     out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]

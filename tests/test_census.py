@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -100,6 +101,14 @@ def test_checkpoint_mismatch_rejected(tmp_path):
         census(5, 6, method="exact", chunk_size=4, checkpoint_path=ck)
     with pytest.raises(CheckpointMismatch):
         census(5, 7, chunk_size=4, checkpoint_path=ck)
+    with open(ck, encoding="utf-8") as fh:
+        good = json.load(fh)
+    no_done = {k: v for k, v in good.items() if k != "done"}
+    for bad in ([good], no_done, {**good, "done": {"5:0": "x"}}, {**good, "done": {"5:0": {"a": 1}}}):
+        with open(ck, "w", encoding="utf-8") as fh:
+            json.dump(bad, fh)
+        with pytest.raises(CheckpointMismatch, match="ck.json"):
+            census(5, 6, chunk_size=4, checkpoint_path=ck)
 
 
 def test_census_argument_validation():

@@ -78,6 +78,10 @@ def test_census_usage_error(tmp_path, monkeypatch, capsys):
     cache = str(tmp_path / "t_star.g6")
     assert main(["find-tstar", "--cache", cache, "--threads", "0"]) == 2
     assert main(["family", "--cache", cache, "--threads", "0"]) == 2
+    ck = tmp_path / "ck.json"
+    ck.write_text('{"version": 1, "n_min": 2, "n_max": 3, "method": "coeff-fast", "chunk_size": 1024}')
+    assert main(["census", "--n-max", "3", "--checkpoint", str(ck)]) == 2
+    assert "ck.json" in capsys.readouterr().err
     monkeypatch.setenv("AMM_THREADS", "0")
     assert main(["census", "--n-max", "3"]) == 2
     assert "threads" in capsys.readouterr().err

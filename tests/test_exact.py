@@ -203,6 +203,15 @@ def test_weighted_projector_sum_is_block_ingredient():
     assert weighted_projector_schur_sum(path(3), [1], [1]) == average_mixing_exact(path(3)).matrix
     n = weighted_projector_schur_sum(path(2), [2], [4, 0, 1])
     assert n == [[Fraction(1, 5), Fraction(1, 5)], [Fraction(1, 5), Fraction(1, 5)]]
+    # polynomial numerators; K3 has eigenvalues 2 (E = J/3) and -1 (E = I - J/3)
+    k3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    for x, w_num, w_den, diag, off in (
+        (k3, [0, 0, 0, 1], [1], Fraction(4, 9), Fraction(7, 9)),
+        (k3, [0, 0, 0, 1], [2, 0, 1], 0, Fraction(1, 9)),
+        (path(2), [0, 1, 0, 0, 1], [1], HALF, HALF),
+    ):
+        got = weighted_projector_schur_sum(x, w_num, w_den)
+        assert got == [[diag if u == v else off for v in range(x.n)] for u in range(x.n)]
     with pytest.raises(DomainError):
         weighted_projector_schur_sum(path(2), [1], [])
 

@@ -6,7 +6,7 @@ import pytest
 from avgmix.enumeration import enumerate_trees
 from avgmix.errors import ConsistencyError, DomainError
 from avgmix.exact import average_mixing_exact, is_simple, kernel_exact
-from avgmix.graphs import path, rooted_product_k2, star
+from avgmix.graphs import Graph, path, rooted_product_k2, star
 from avgmix.numeric import eigh
 from avgmix.polynomials import char_poly, is_squarefree
 from avgmix.rooted_family import (
@@ -66,6 +66,8 @@ def test_block_formula_p2():
 def test_block_formula_rejects_repeated_spectrum():
     with pytest.raises(DomainError):
         amm_rooted_product_exact(star(4))
+    with pytest.raises(DomainError):  # C4: not a forest, eigenvalue 0 twice
+        amm_rooted_product_exact(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     # P3 has squarefree char poly and is accepted
     assert amm_rooted_product_exact(path(3)) == average_mixing_exact(rooted_product_k2(path(3))).matrix
 
