@@ -168,6 +168,8 @@ def census(
 
     `progress(n, chunks_done)` fires after every completed chunk, after the
     checkpoint has been persisted; raising from it leaves a resumable state.
+    A resume raises CheckpointMismatch when the stored tallies of an order
+    do not add up to the trees their chunks hold.
     """
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
@@ -191,7 +193,13 @@ def census(
         while (part := ckpt.get(n, start)) is not None:
             _merge(tally, part)
             start += 1
-        trees = itertools.islice(enumerate_trees(n), start * chunk_size, None)
+        trees = enumerate_trees(n)
+        skipped = sum(1 for _ in itertools.islice(trees, start * chunk_size))
+        if (tallied := sum(tally.values())) != skipped:
+            raise CheckpointMismatch(
+                f"checkpoint {checkpoint_path} tallies {tallied} trees of order {n} "
+                f"where its stored chunks hold {skipped}",
+            )
         with contextlib.closing(map_chunks(classify, trees, chunk_size, threads)) as parts:
             for index, part in enumerate(parts, start):
                 ckpt.put(n, index, part)

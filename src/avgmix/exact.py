@@ -218,7 +218,8 @@ def kernel_exact(mat) -> list[list[Fraction]]:
 
 
 def coefficient_matrix(x: Graph) -> list[list[int]]:
-    """Row u holds the coefficients of char_poly(X - u); column r is t^(r-1)."""
+    """Row u holds the coefficients of char_poly(X - u); column r holds the
+    coefficient of t^r."""
     if x.n < 2:
         raise DomainError("coefficient matrix needs at least two vertices")
     rows = []

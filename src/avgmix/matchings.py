@@ -1,12 +1,15 @@
 """Matching counts on forests and the rank lower-bound certificates.
 
 For a forest the characteristic polynomial carries the matching counts in
-its coefficients (coefficient of t^(n-2k) is (-1)^k m_k), which makes small
-submatrices of the coefficient matrix computable from matchings alone.
-The certificate machinery exploits that: for every tree with all eigenvalues
-distinct (other than the path on four vertices) it produces a 3x3 integer
-submatrix with nonzero determinant, certifying that the average mixing
-matrix has rank at least three.
+its coefficients (coefficient of t^(n-2k) is (-1)^k m_k).  The counts come
+from one rooted pass per component that folds each child into two count
+vectors, and the same traversal rejects a graph with a cycle.  The rows of
+the coefficient matrix are the characteristic polynomials of the
+vertex-deleted forests, so they come from matchings alone.  The
+certificate machinery reads from that matrix: for every tree with all
+eigenvalues distinct (other than the path on four vertices) it produces a
+3x3 integer submatrix with nonzero determinant, certifying that the
+average mixing matrix has rank at least three.
 """
 
 from __future__ import annotations
@@ -27,53 +30,44 @@ def forest_matching_counts(g: Graph) -> list[int]:
     """Counts (m_0, m_1, ..., m_M) of k-edge matchings of a forest.
 
     Trailing zero counts are stripped, so the last entry belongs to a
-    maximum matching.  Rooted dynamic programming: each vertex carries the
-    count vectors of its subtree with the root unmatched / matched.
+    maximum matching.  One depth-first traversal roots each component; a
+    visited neighbour other than the parent closes a cycle and raises
+    DomainError.  Children first, each vertex folds its children c into
+    two count vectors, A (all matchings of its subtree) and F (those
+    leaving the vertex free), from A = F = [1]:
+
+        A <- A*A_c + x*F*F_c,    F <- F*A_c
+
+    where x shifts by one edge (the vertex matched to c).  The forest's
+    counts are the product of the roots' A.
     """
-    if not g.is_forest():
-        raise DomainError("matching counts by this recurrence need an acyclic graph")
     nbr = g.neighbors()
+    parent = [-2] * g.n  # -2: not reached yet, -1: a root
     total = [1]
-    seen = [False] * g.n
     for root in range(g.n):
-        if seen[root]:
+        if parent[root] != -2:
             continue
+        parent[root] = -1
         order = []
-        parent = {root: -1}
         stack = [root]
-        seen[root] = True
         while stack:
             v = stack.pop()
             order.append(v)
             for w in nbr[v]:
-                if not seen[w]:
-                    seen[w] = True
+                if parent[w] == -2:
                     parent[w] = v
                     stack.append(w)
+                elif w != parent[v]:
+                    raise DomainError("matching counts by this recurrence need an acyclic graph")
         table: dict[int, tuple[list[int], list[int]]] = {}
         for v in reversed(order):
-            kids = [w for w in nbr[v] if parent.get(w) == v]
-            if not kids:
-                table[v] = ([1], [])
-                continue
-            anyk = [poly_add(table[c][0], table[c][1]) for c in kids]
-            prefix = [[1]]
-            for vec in anyk:
-                prefix.append(poly_mul(prefix[-1], vec))
-            suffix = [[1]]
-            for vec in reversed(anyk):
-                suffix.append(poly_mul(suffix[-1], vec))
-            suffix.reverse()
-            unmatched = prefix[-1]
-            matched: list[int] = []
-            for i, c in enumerate(kids):
-                # match v to child c: shift by one edge, children of c must be free of c
-                term = poly_mul(table[c][0], poly_mul(prefix[i], suffix[i + 1]))
-                matched = poly_add(matched, [0] + term)
-            table[v] = (unmatched, matched)
-            for c in kids:
-                del table[c]
-        total = poly_mul(total, poly_add(table[root][0], table[root][1]))
+            a, f = [1], [1]
+            for c in nbr[v]:
+                if c != parent[v]:
+                    ac, fc = table.pop(c)
+                    a, f = poly_add(poly_mul(a, ac), [0] + poly_mul(f, fc)), poly_mul(f, ac)
+            table[v] = (a, f)
+        total = poly_mul(total, table.pop(root)[0])
     return total
 
 
@@ -208,18 +202,6 @@ class LowerBoundCertificate:
         }
 
 
-def _deleted_coeff(t: Graph, i: int, exponent: int) -> int:
-    """Coefficient of t^exponent in char_poly(T minus i), from matching counts."""
-    counts = forest_matching_counts(t.delete_vertex(i))
-    a2 = (t.n - 1) - exponent
-    if a2 < 0 or a2 % 2:
-        return 0
-    alpha = a2 // 2
-    if alpha >= len(counts):
-        return 0
-    return -counts[alpha] if alpha % 2 else counts[alpha]
-
-
 def _det3(rows) -> int:
     (a, b, c), (d, e, f), (g, h, i) = rows
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -240,11 +222,11 @@ def lower_bound_certificate(t: Graph) -> LowerBoundCertificate:
       C3: otherwise; rows u, v, z with z the least vertex whose deletion
           leaves a perfect matching; same columns; determinant (-1)^(j+1).
 
-    The determinant is recomputed from the actual matching counts and must
-    equal the closed form and be nonzero; the path on four vertices is the
-    unique genuine exception and is rejected up front.
+    The submatrix is read from `exact.coefficient_matrix`; its determinant
+    must equal the closed form and be nonzero; the path on four vertices is
+    the unique genuine exception and is rejected up front.
     """
-    from .exact import is_simple
+    from .exact import coefficient_matrix, is_simple
     from .graph6 import write_graph6
 
     _require_tree(t, "lower_bound_certificate")
@@ -284,7 +266,8 @@ def lower_bound_certificate(t: Graph) -> LowerBoundCertificate:
         case, rows, cols = "C3", (u, v, z), (0, n - 3, n - 1)
         closed = -1 if j % 2 == 0 else 1
 
-    sub = tuple(tuple(_deleted_coeff(t, i, c) for c in cols) for i in rows)
+    coeffs = coefficient_matrix(t)
+    sub = tuple(tuple(coeffs[i][c] for c in cols) for i in rows)
     det = _det3(sub)
     if det == 0 or det != closed:
         raise ConsistencyError(

@@ -293,16 +293,14 @@ def forest_char_poly(x: Graph) -> IntPoly:
 def vertex_deleted_polys(x: Graph) -> list[IntPoly]:
     """char_poly(X - u) for every vertex u, each of degree n-1.
 
-    Forests take the matching-count path, anything else falls back to
-    Faddeev-LeVerrier.
+    The route is picked once for X: a forest minus a vertex is a forest,
+    so forests take the matching-count path; anything else takes
+    Faddeev-LeVerrier for every deletion, even one that leaves a forest.
     """
     if x.n < 2:
         raise DomainError("need at least two vertices to delete one")
-    out = []
-    for u in range(x.n):
-        sub = x.delete_vertex(u)
-        out.append(forest_char_poly(sub) if sub.is_forest() else char_poly(sub))
-    return out
+    route = forest_char_poly if x.is_forest() else char_poly
+    return [route(x.delete_vertex(u)) for u in range(x.n)]
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,15 @@ def test_checkpoint_mismatch_rejected(tmp_path):
             json.dump(bad, fh)
         with pytest.raises(CheckpointMismatch, match="ck.json"):
             census(5, 6, chunk_size=4, checkpoint_path=ck)
+    # well-formed tallies that do not add up to the trees their chunks hold:
+    # order 4 has 2 trees and no rank 9
+    run = {"version": 1, "n_min": 2, "n_max": 4, "method": "coeff-fast"}
+    three_chunks = {f"4:{i}": {"2,1": 1} for i in range(3)}
+    for chunk_size, done in ((1024, {"4:0": {"9,1": 5}}), (1, three_chunks)):
+        with open(ck, "w", encoding="utf-8") as fh:
+            json.dump({**run, "chunk_size": chunk_size, "done": done}, fh)
+        with pytest.raises(CheckpointMismatch, match="ck.json"):
+            census(2, 4, chunk_size=chunk_size, checkpoint_path=ck)
 
 
 def test_census_argument_validation():

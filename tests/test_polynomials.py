@@ -70,6 +70,13 @@ def test_vertex_deleted_polys():
     assert vd[2] == [-1, 0, 1]
     with pytest.raises(DomainError):
         vertex_deleted_polys(path(1))
+    # non-forests take Faddeev-LeVerrier for every deletion
+    c5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    p2_c4 = from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])
+    for g in (c5, p2_c4):
+        assert vertex_deleted_polys(g) == [char_poly(g.delete_vertex(u)) for u in range(g.n)]
+    # C5's deletions are paths, so the matching-count route cross-checks them
+    assert vertex_deleted_polys(c5) == [forest_char_poly(c5.delete_vertex(u)) for u in range(5)]
 
 
 def test_derivative_identity_exhaustive():
@@ -168,8 +175,13 @@ def test_forest_char_poly_equals_faddeev_leverrier_on_deleted_forests():
             for u in range(n):
                 sub = t.delete_vertex(u)
                 assert forest_char_poly(sub) == char_poly(sub), (n, t.edges, u)
-    with pytest.raises(DomainError):
-        forest_char_poly(from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+    for cyclic in (
+        from_edges(3, [(0, 1), (1, 2), (0, 2)]),  # triangle through the root
+        from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)]),  # P2 and C4
+        from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)]),  # triangle off the root
+    ):
+        with pytest.raises(DomainError):
+            forest_char_poly(cyclic)
 
 
 def test_squarefree_part_broken_gcd_is_a_consistency_error(monkeypatch):
