@@ -40,7 +40,6 @@ from .polynomials import (
     is_squarefree,
     squarefree_part,
     trace_over_roots,
-    vertex_deleted_polys,
 )
 from .rooted_family import (
     FamilyMember,

@@ -41,7 +41,10 @@ def parse_graph6(text: str) -> Graph:
     s = text.strip()
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    data = s.encode("ascii", errors="replace")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"non-ASCII character {s[exc.start]!r}", exc.start) from None
     for i, b in enumerate(data):
         if not 63 <= b <= 126:
             raise Graph6Error(f"non-printable or out-of-range byte {bytes([b])!r}", i)

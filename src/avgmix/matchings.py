@@ -5,7 +5,7 @@ its coefficients (coefficient of t^(n-2k) is (-1)^k m_k).  The counts come
 from one rooted pass per component that folds each child into two count
 vectors, and the same traversal rejects a graph with a cycle.  The rows of
 the coefficient matrix are the characteristic polynomials of the
-vertex-deleted forests, so they come from matchings alone.  The
+vertex-deleted forests, the diagonal of adj(tI - A) (`exact`).  The
 certificate machinery reads from that matrix: for every tree with all
 eigenvalues distinct (other than the path on four vertices) it produces a
 3x3 integer submatrix with nonzero determinant, certifying that the

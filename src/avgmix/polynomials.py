@@ -290,19 +290,6 @@ def forest_char_poly(x: Graph) -> IntPoly:
     return counts_to_char_poly(x.n, forest_matching_counts(x))
 
 
-def vertex_deleted_polys(x: Graph) -> list[IntPoly]:
-    """char_poly(X - u) for every vertex u, each of degree n-1.
-
-    The route is picked once for X: a forest minus a vertex is a forest,
-    so forests take the matching-count path; anything else takes
-    Faddeev-LeVerrier for every deletion, even one that leaves a forest.
-    """
-    if x.n < 2:
-        raise DomainError("need at least two vertices to delete one")
-    route = forest_char_poly if x.is_forest() else char_poly
-    return [route(x.delete_vertex(u)) for u in range(x.n)]
-
-
 # ---------------------------------------------------------------------------
 # sums over the roots of a squarefree polynomial
 

@@ -277,10 +277,9 @@ def build_family(
     """
     if k < 0:
         raise ValueError(f"family index must be non-negative, got {k}")
-    if 18 * 2**k > vertex_cap:
-        raise ValueError(
-            f"family member {k} needs {18 * 2 ** k} vertices, above the cap {vertex_cap}",
-        )
+    order = (18 if base is None else base.n) * 2**k
+    if order > vertex_cap:
+        raise ValueError(f"family member {k} needs {order} vertices, above the cap {vertex_cap}")
     g = base if base is not None else find_t_star(cache_path, threads=threads)
     members = []
     for i in range(k + 1):

@@ -23,6 +23,7 @@ from .enumeration import enumerate_trees, random_tree
 from .errors import ConsistencyError, DomainError
 from .exact import (
     average_mixing_exact,
+    coefficient_matrix,
     is_psd_exact,
     kernel_exact,
     rank_via_coefficient,
@@ -58,7 +59,6 @@ from .polynomials import (
     power_sums,
     squarefree_part,
     trace_over_roots,
-    vertex_deleted_polys,
 )
 from .rooted_family import (
     amm_rooted_product_exact,
@@ -101,14 +101,17 @@ def suite_identities(r: _Runner, n_max: int):
             bad += 1
     r.check("char_poly == matching polynomial on 1000 random trees, n<=16", bad == 0, f"{bad} bad")
 
-    bad = 0
+    bad_rows = bad = 0
     for n in range(2, n_max + 1):
         for t in enumerate_trees(n):
+            rows = coefficient_matrix(t)
+            bad_rows += sum(row != char_poly(t.delete_vertex(u)) for u, row in enumerate(rows))
             total = []
-            for p in vertex_deleted_polys(t):
+            for p in rows:
                 total = poly_add(total, p)
             if total != poly_derivative(char_poly(t)):
                 bad += 1
+    r.check(f"coefficient row u == char_poly(T - u), trees n<={n_max}", bad_rows == 0, f"{bad_rows} bad")
     r.check(f"sum of deleted char polys == derivative, trees n<={n_max}", bad == 0)
 
     bad = 0

@@ -55,6 +55,8 @@ def test_graph6_file_input(tmp_path, capsys):
 def test_parse_error_exit_code(capsys):
     assert main(["rank", "A_%%"]) == 2
     assert "byte offset" in capsys.readouterr().err
+    assert main(["rank", "A\u00e9"]) == 2
+    assert "byte offset 1" in capsys.readouterr().err
 
 
 def test_census_to_file_and_compare(tmp_path, capsys):

@@ -44,6 +44,10 @@ def test_parse_errors_carry_byte_offsets():
     with pytest.raises(Graph6Error) as ei:
         parse_graph6("")
     assert ei.value.offset == 0
+    for text in ("A\u00e9", "B\u20ac"):  # non-ASCII, not replaced by a valid "?"
+        with pytest.raises(Graph6Error) as ei:
+            parse_graph6(text)
+        assert ei.value.offset == 1
     with pytest.raises(Graph6Error):
         parse_graph6("D_")  # n=5 needs two body bytes
     with pytest.raises(Graph6Error):

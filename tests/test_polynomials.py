@@ -7,6 +7,7 @@ import pytest
 import avgmix.polynomials as polynomials_module
 from avgmix.enumeration import enumerate_trees, random_tree
 from avgmix.errors import ConsistencyError, DomainError
+from avgmix.exact import coefficient_matrix
 from avgmix.graphs import from_edges, path, rooted_product_k2, star
 from avgmix.polynomials import (
     char_poly,
@@ -24,7 +25,6 @@ from avgmix.polynomials import (
     power_sums,
     squarefree_part,
     trace_over_roots,
-    vertex_deleted_polys,
 )
 
 
@@ -63,27 +63,35 @@ def test_char_equals_matching_on_random_trees():
         assert char_poly(t) == forest_char_poly(t)
 
 
-def test_vertex_deleted_polys():
-    vd = vertex_deleted_polys(path(3))
+def test_vertex_deleted_polys(tstar):
+    vd = coefficient_matrix(path(3))
     assert vd[0] == [-1, 0, 1]      # delete a leaf: single edge remains
     assert vd[1] == [0, 0, 1]       # delete the center: two isolated vertices
     assert vd[2] == [-1, 0, 1]
     with pytest.raises(DomainError):
-        vertex_deleted_polys(path(1))
-    # non-forests take Faddeev-LeVerrier for every deletion
+        coefficient_matrix(path(1))
+    # the adjugate's diagonal holds every deletion's char poly, forest or not
     c5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     p2_c4 = from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])
-    for g in (c5, p2_c4):
-        assert vertex_deleted_polys(g) == [char_poly(g.delete_vertex(u)) for u in range(g.n)]
+    k4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    empty4 = from_edges(4, [])
+    two_p3 = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    for g in (c5, p2_c4, k4, empty4, two_p3):
+        assert coefficient_matrix(g) == [char_poly(g.delete_vertex(u)) for u in range(g.n)]
     # C5's deletions are paths, so the matching-count route cross-checks them
-    assert vertex_deleted_polys(c5) == [forest_char_poly(c5.delete_vertex(u)) for u in range(5)]
+    assert coefficient_matrix(c5) == [forest_char_poly(c5.delete_vertex(u)) for u in range(5)]
+    # family member 2: 72 vertices, integers far beyond 64 bits
+    member2 = rooted_product_k2(rooted_product_k2(tstar))
+    assert coefficient_matrix(member2) == [
+        forest_char_poly(member2.delete_vertex(u)) for u in range(member2.n)
+    ]
 
 
 def test_derivative_identity_exhaustive():
     for n in range(2, 11):
         for t in enumerate_trees(n):
             total = []
-            for p in vertex_deleted_polys(t):
+            for p in coefficient_matrix(t):
                 total = poly_add(total, p)
             assert total == poly_derivative(char_poly(t))
 

@@ -145,6 +145,8 @@ def test_build_family_ranks_and_gaps(tstar, tmp_path):
     assert members[1].gap >= members[1].gap_bound == 2
     with pytest.raises(ValueError):
         build_family(4, base=tstar)  # 288 vertices above the default cap
+    with pytest.raises(ValueError):
+        build_family(2, vertex_cap=144, base=path(40))  # the base's own order counts: 160
 
 
 def test_tstar_cache_roundtrip(tstar, tmp_path):
