@@ -19,10 +19,8 @@ from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, Tree, from_edges, path, rooted_product_k2, star
 from .matchings import (
     LowerBoundCertificate,
-    has_perfect_matching,
     leaf_next_to_degree_two,
     lower_bound_certificate,
-    matching_counts,
     near_perfect_vertex,
 )
 from .numeric import (

@@ -12,9 +12,9 @@ interrupted run resume to the identical result.
 
 Methods:
   exact      rank and simplicity from the exact average mixing matrix;
-  coeff-fast simplicity from matching counts, rank via the integer
-             coefficient matrix for simple trees (the two ranks agree for
-             simple spectra) and via `amm_rank` otherwise;
+  coeff-fast one matching DP per tree decides simplicity and gives phi for
+             the integer coefficient matrix of simple trees (the two ranks
+             agree for simple spectra) and for `amm_rank` otherwise;
   float      numeric rank of the floating average mixing matrix, simplicity
              from eigenvalue clustering.
 """
@@ -34,7 +34,7 @@ from .enumeration import enumerate_trees
 from .errors import ConsistencyError
 from .exact import amm_rank, average_mixing_exact, coefficient_matrix, exact_rank
 from .graph6 import parse_graph6, write_graph6
-from .matchings import forest_matching_counts, simple_from_matching_counts
+from .matchings import counts_to_char_poly, forest_matching_counts, simple_from_matching_counts
 from .reference_data import (
     KNOWN_DISCREPANCY_NOTES,
     REFERENCE_MIN_RANK,
@@ -66,10 +66,11 @@ def classify_tree(t, method: str) -> tuple[int, bool]:
         r = average_mixing_exact(t)
         return r.rank, r.simple
     if method == "coeff-fast":
-        simple = simple_from_matching_counts(t.n, forest_matching_counts(t))
-        if simple:
-            return exact_rank(coefficient_matrix(t)), True
-        return amm_rank(t), False
+        counts = forest_matching_counts(t)
+        phi = counts_to_char_poly(t.n, counts)
+        if simple_from_matching_counts(t.n, counts):
+            return exact_rank(coefficient_matrix(t, phi)), True
+        return amm_rank(t, phi), False
     if method == "float":
         from .numeric import numeric_rank, spectral_decomp
 

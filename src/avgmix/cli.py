@@ -24,6 +24,7 @@ from .errors import ConsistencyError
 from .exact import average_mixing_exact, rat_matrix_to_csv, rat_matrix_to_json
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, parse_edge_list
+from .numeric import average_mixing_float, float_matrix_csv
 from .rooted_family import build_family, family_report_csv, find_t_star
 from .verify import SUITES, run_suite
 
@@ -97,6 +98,8 @@ def _cmd_rank(args) -> int:
     if args.method == "float":
         rank, simple = classify_tree(g, "float")
         print(f"n={g.n} rank={rank} simple={str(simple).lower()} method=float")
+        if args.matrix:
+            sys.stdout.write(float_matrix_csv(average_mixing_float(g)))
         return 0
     res = average_mixing_exact(g)
     print(f"n={g.n} rank={res.rank} simple={str(res.simple).lower()} method=exact")
@@ -166,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rank", help="rank and simplicity of one graph")
     r.add_argument("graph", help="graph6 string, .g6 file, or edge-list file")
     r.add_argument("--method", choices=("exact", "float"), default="exact")
-    r.add_argument("--matrix", action="store_true", help="also dump the exact matrix")
+    r.add_argument("--matrix", action="store_true",
+                   help="also print the matrix: exact fractions, or floats with --method float")
     r.set_defaults(fn=_cmd_rank)
 
     m = sub.add_parser("matrix", help="exact average mixing matrix of one graph")

@@ -108,10 +108,6 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
                 yield Tree(n, tuple(edges))
 
 
-def count_trees(n: int) -> int:
-    return sum(1 for _ in enumerate_trees(n))
-
-
 def random_tree(n: int, rng: random.Random) -> Tree:
     """Uniform random labelled tree via a random Pruefer sequence."""
     if n < 1:

@@ -38,8 +38,12 @@ RatMatrix = list[list[Fraction]]
 
 
 def _phi(x: Graph) -> IntPoly:
-    """Characteristic polynomial; forests take the matching-count route."""
-    return forest_char_poly(x) if x.is_forest() else char_poly(x)
+    """Characteristic polynomial from the matching-count DP, or from
+    Faddeev-LeVerrier once the DP's traversal meets a cycle (DomainError)."""
+    try:
+        return forest_char_poly(x)
+    except DomainError:
+        return char_poly(x)
 
 
 def is_simple(x: Graph) -> bool:
@@ -63,8 +67,9 @@ def average_mixing_exact(x: Graph) -> AmmResult:
     return AmmResult(_over(scaled, denom), exact_rank(scaled), degree(psi) == degree(phi), x.n)
 
 
-def amm_rank(x: Graph) -> int:
-    """Rank of the average mixing matrix of any graph, in integers only.
+def amm_rank(x: Graph, phi: IntPoly | None = None) -> int:
+    """Rank of the average mixing matrix of any graph, in integers only;
+    `phi`, x's characteristic polynomial, is computed when not given.
 
     1. Each E_theta o E_theta is PSD (Schur product theorem).
     2. So ker sum_theta w_theta E_theta o E_theta = intersection over theta of
@@ -75,7 +80,7 @@ def amm_rank(x: Graph) -> int:
        factor of the monic characteristic polynomial).
     4. Only the real symmetry of A was used, so this holds for any graph.
     """
-    psi = squarefree_part(_phi(x))
+    psi = squarefree_part(_phi(x) if phi is None else phi)
     return exact_rank(_hankel_form(x, psi, [1]))
 
 
@@ -225,22 +230,25 @@ def kernel_exact(mat) -> list[list[Fraction]]:
     return basis
 
 
-def coefficient_matrix(x: Graph) -> list[list[int]]:
+def coefficient_matrix(x: Graph, phi: IntPoly | None = None) -> list[list[int]]:
     """Row u holds the coefficients of char_poly(X - u), entry (u, u) of
     adj(tI - A) by Cramer's rule; column r holds the coefficient of t^r, the
-    diagonal of the adjugate's coefficient B_r from `_adjugate(x, phi)`."""
+    diagonal of the adjugate's coefficient B_r from `_adjugate(x, phi)`, with
+    `phi`, x's characteristic polynomial, computed when not given."""
     if x.n < 2:
         raise DomainError("coefficient matrix needs at least two vertices")
-    diags = [[row[i] for i, row in enumerate(b)] for b in _adjugate(x, _phi(x))]
+    adj = _adjugate(x, _phi(x) if phi is None else phi)
+    diags = [[row[i] for i, row in enumerate(b)] for b in adj]
     return [list(row) for row in zip(*reversed(diags))]
 
 
 def rank_via_coefficient(x: Graph) -> int:
     """Rank of the coefficient matrix; equals the average mixing rank for
     graphs with all eigenvalues distinct (the only case accepted)."""
-    if not is_simple(x):
+    phi = _phi(x)
+    if not is_squarefree(phi):
         raise DomainError("coefficient rank shortcut requires distinct eigenvalues")
-    return exact_rank(coefficient_matrix(x))
+    return exact_rank(coefficient_matrix(x, phi))
 
 
 def strongly_cospectral_pairs(x: Graph) -> list[tuple[int, int]]:

@@ -3,13 +3,15 @@
 For a forest the characteristic polynomial carries the matching counts in
 its coefficients (coefficient of t^(n-2k) is (-1)^k m_k).  The counts come
 from one rooted pass per component that folds each child into two count
-vectors, and the same traversal rejects a graph with a cycle.  The rows of
-the coefficient matrix are the characteristic polynomials of the
-vertex-deleted forests, the diagonal of adj(tI - A) (`exact`).  The
-certificate machinery reads from that matrix: for every tree with all
-eigenvalues distinct (other than the path on four vertices) it produces a
-3x3 integer submatrix with nonzero determinant, certifying that the
-average mixing matrix has rank at least three.
+vectors, and the same traversal rejects a graph with a cycle.  Its caller
+hands `counts_to_char_poly` of the counts to `exact`, so one DP per tree
+gives both simplicity and rank.  The rows of the coefficient matrix are
+the characteristic polynomials of the vertex-deleted forests, the
+diagonal of adj(tI - A) (`exact`).  The certificate machinery reads from
+that matrix: for every tree with all eigenvalues distinct (other than the
+path on four vertices) it produces a 3x3 integer submatrix with nonzero
+determinant, certifying that the average mixing matrix has rank at least
+three.
 """
 
 from __future__ import annotations
@@ -71,12 +73,6 @@ def forest_matching_counts(g: Graph) -> list[int]:
     return total
 
 
-def matching_counts(t: Graph) -> list[int]:
-    """Matching count vector of a tree."""
-    _require_tree(t, "matching_counts")
-    return forest_matching_counts(t)
-
-
 def counts_to_char_poly(n: int, counts: list[int]) -> list[int]:
     """Assemble sum_k (-1)^k m_k t^(n-2k) from a count vector."""
     out = [0] * (n + 1)
@@ -107,9 +103,9 @@ def simple_from_matching_counts(n: int, counts: list[int]) -> bool:
 
 
 def forest_has_perfect_matching(g: Graph) -> bool:
-    """Greedy leaf matching; every leaf's pairing is forced in a forest."""
-    if not g.is_forest():
-        raise DomainError("greedy leaf matching needs an acyclic graph")
+    """Greedy leaf matching.  A leaf's pairing is forced in any graph, so an
+    answer reached holds for any graph; vertices left with no leaf among them
+    all have degree >= 2, which closes a cycle: DomainError."""
     if g.n % 2:
         return False
     nbr = [set(ns) for ns in g.neighbors()]
@@ -134,12 +130,9 @@ def forest_has_perfect_matching(g: Graph) -> bool:
                 stack.append(w)
         nbr[u].clear()
         nbr[v].clear()
-    return remaining == 0
-
-
-def has_perfect_matching(t: Graph) -> bool:
-    _require_tree(t, "has_perfect_matching")
-    return forest_has_perfect_matching(t)
+    if remaining:
+        raise DomainError("greedy leaf matching needs an acyclic graph")
+    return True
 
 
 def near_perfect_vertex(t: Graph) -> int | None:
@@ -222,11 +215,11 @@ def lower_bound_certificate(t: Graph) -> LowerBoundCertificate:
       C3: otherwise; rows u, v, z with z the least vertex whose deletion
           leaves a perfect matching; same columns; determinant (-1)^(j+1).
 
-    The submatrix is read from `exact.coefficient_matrix`; its determinant
-    must equal the closed form and be nonzero; the path on four vertices is
-    the unique genuine exception and is rejected up front.
+    Simplicity and the submatrix of `exact.coefficient_matrix` come from
+    one matching DP; the determinant must equal the closed form and be
+    nonzero; the path on four vertices is the unique exception, rejected.
     """
-    from .exact import coefficient_matrix, is_simple
+    from .exact import coefficient_matrix
     from .graph6 import write_graph6
 
     _require_tree(t, "lower_bound_certificate")
@@ -235,7 +228,8 @@ def lower_bound_certificate(t: Graph) -> LowerBoundCertificate:
         raise DomainError("lower bound certificates start at four vertices")
     if n == 4 and sorted(t.degrees()) == [1, 1, 2, 2]:
         raise DomainError("the path on four vertices has rank 2; no certificate exists")
-    if not is_simple(t):
+    counts = forest_matching_counts(t)
+    if not simple_from_matching_counts(n, counts):
         raise DomainError("certificate requires a tree with all eigenvalues distinct")
     g6 = write_graph6(t)
     u, v = leaf_next_to_degree_two(t)
@@ -266,7 +260,7 @@ def lower_bound_certificate(t: Graph) -> LowerBoundCertificate:
         case, rows, cols = "C3", (u, v, z), (0, n - 3, n - 1)
         closed = -1 if j % 2 == 0 else 1
 
-    coeffs = coefficient_matrix(t)
+    coeffs = coefficient_matrix(t, counts_to_char_poly(n, counts))
     sub = tuple(tuple(coeffs[i][c] for c in cols) for i in rows)
     det = _det3(sub)
     if det == 0 or det != closed:

@@ -109,17 +109,17 @@ def verify_cvdv_identity(t: Graph) -> float:
     derivative values phi'(theta_r) satisfy  M = C V D^-2 V^T C^T; returns
     the max-norm gap against the float pipeline's M.
     """
-    from .exact import coefficient_matrix, is_simple
+    from .exact import coefficient_matrix
+    from .polynomials import char_poly, is_squarefree, poly_derivative, poly_eval
 
-    if not is_simple(t):
+    phi = char_poly(t)
+    if not is_squarefree(phi):
         raise DomainError("factorization requires distinct eigenvalues")
     n = t.n
     w, _ = eigh(np.array(t.adjacency(), dtype=float))
-    c = np.array(coefficient_matrix(t), dtype=float)
+    c = np.array(coefficient_matrix(t, phi), dtype=float)
     vand = np.vander(w, n, increasing=True).T  # V[i, j] = theta_j ** i
-    from .polynomials import char_poly, poly_derivative, poly_eval
-
-    dphi = poly_derivative(char_poly(t))
+    dphi = poly_derivative(phi)
     delta = np.array([poly_eval(dphi, float(ev)) for ev in w])
     lhs = c @ vand @ np.diag(delta**-2.0) @ vand.T @ c.T
     return float(np.max(np.abs(lhs - average_mixing_float(t))))

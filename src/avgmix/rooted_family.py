@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .census import map_chunks
+from .census import classify_tree, map_chunks
 from .errors import ConsistencyError, DomainError
 from .enumeration import enumerate_trees
 from .exact import (
@@ -35,7 +35,7 @@ from .exact import (
 )
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, Tree, rooted_product_k2
-from .matchings import forest_matching_counts, simple_from_matching_counts
+from .matchings import counts_to_char_poly, forest_matching_counts, simple_from_matching_counts
 # is_squarefree is not called here; perfbench/layers.py wraps avgmix.rooted_family:is_squarefree
 from .polynomials import IntPoly, char_poly, is_squarefree, poly_add, poly_mul, poly_scale, poly_shift
 
@@ -154,7 +154,7 @@ def _scan_chunk(rank_below: int, payload: list[str]) -> tuple[int, list[tuple[st
         counts = forest_matching_counts(t)
         if not simple_from_matching_counts(t.n, counts):
             continue
-        rank = exact_rank(coefficient_matrix(t))
+        rank = exact_rank(coefficient_matrix(t, counts_to_char_poly(t.n, counts)))
         if rank < rank_below:
             hits.append((g6, rank))
     return len(payload), hits
@@ -271,9 +271,9 @@ def build_family(
 ) -> list[FamilyMember]:
     """Members 0..k of the iterated pendant family rooted at the 18-vertex tree.
 
-    Ranks come from the coefficient matrix (valid because every member has
-    simple eigenvalues, which is re-verified).  Refuses members beyond the
-    vertex cap.
+    Each member is ranked by `census.classify_tree`, the coefficient-matrix
+    rank of a simple tree; a member that is not simple raises
+    ConsistencyError.  Refuses members beyond the vertex cap.
     """
     if k < 0:
         raise ValueError(f"family index must be non-negative, got {k}")
@@ -283,12 +283,11 @@ def build_family(
     g = base if base is not None else find_t_star(cache_path, threads=threads)
     members = []
     for i in range(k + 1):
-        counts = forest_matching_counts(g)
-        if not simple_from_matching_counts(g.n, counts):
+        rank, simple = classify_tree(g, "coeff-fast")
+        if not simple:
             raise ConsistencyError(
                 f"family member {i} lost eigenvalue simplicity", [write_graph6(g)],
             )
-        rank = exact_rank(coefficient_matrix(g))
         members.append(FamilyMember(i, g, rank))
         if i < k:
             g = rooted_product_k2(g)

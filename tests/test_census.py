@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -17,6 +19,7 @@ from avgmix.census import (
 from avgmix.enumeration import enumerate_trees
 from avgmix.graphs import path, star
 from avgmix.reference_data import REFERENCE_RANK_TABLE
+from avgmix.rooted_family import build_family, search_low_rank_simple_trees
 from avgmix.verify import run_suite
 
 
@@ -39,6 +42,34 @@ def test_float_classification_decomposes_each_tree_once(monkeypatch):
     for t in trees:
         classify_tree(t, "float")
     assert len(calls) == len(trees)
+
+
+def test_coeff_fast_runs_one_matching_dp_per_tree(monkeypatch):
+    """Every ranked tree takes its characteristic polynomial from its one DP."""
+    calls = Counter()
+    # `import avgmix.census` would bind the re-exported function `census`
+    for module, name in (
+        ("census", "forest_matching_counts"),
+        ("rooted_family", "forest_matching_counts"),
+        ("exact", "forest_char_poly"),
+    ):
+        owner = importlib.import_module(f"avgmix.{module}")
+
+        def counted(*args, _orig=getattr(owner, name), _key=f"{module}.{name}"):
+            calls[_key] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    for t in (path(6), star(6)):  # simple, then not simple
+        calls.clear()
+        classify_tree(t, "coeff-fast")
+        assert dict(calls) == {"census.forest_matching_counts": 1}, t.edges
+    calls.clear()
+    search_low_rank_simple_trees(10, 6)
+    assert dict(calls) == {"rooted_family.forest_matching_counts": 106}
+    calls.clear()
+    build_family(1, base=path(4))
+    assert dict(calls) == {"census.forest_matching_counts": 2}
 
 
 def test_census_matches_reference_small(census_2_12):

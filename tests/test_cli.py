@@ -24,6 +24,13 @@ def test_rank_star_and_float_method(capsys):
     assert "rank=6" in capsys.readouterr().out
     assert main(["rank", g6, "--method", "float"]) == 0
     assert "rank=6" in capsys.readouterr().out
+    assert main(["rank", g6, "--method", "float", "--matrix"]) == 0
+    head, *rows = capsys.readouterr().out.splitlines()
+    assert "rank=6" in head and len(rows) == 6
+    exact = avgmix.average_mixing_exact(star(6)).matrix
+    for row, want in zip(rows, exact):
+        got = [float(x) for x in row.split(",")]
+        assert len(got) == 6 and max(abs(g - w) for g, w in zip(got, want)) < 1e-9
 
 
 def test_rank_matrix_dump(capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from avgmix.enumeration import count_trees, enumerate_trees, random_tree
+from avgmix.enumeration import enumerate_trees, random_tree
 from avgmix.graphs import Tree
 
 # Per-order totals of the published census tables (equal to the standard
@@ -17,13 +17,12 @@ TABLE_TOTALS = {
 def test_counts_match_published_totals():
     for n, expected in TABLE_TOTALS.items():
         if n <= 12:
-            assert count_trees(n) == expected, n
+            assert sum(1 for _ in enumerate_trees(n)) == expected, n
 
 
 def test_single_vertex_and_examples():
-    assert count_trees(1) == 1
-    assert count_trees(4) == 2
-    assert count_trees(10) == 106
+    for n, expected in ((1, 1), (4, 2), (10, 106)):
+        assert sum(1 for _ in enumerate_trees(n)) == expected, n
 
 
 def test_every_output_is_a_valid_tree():

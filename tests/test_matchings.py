@@ -8,11 +8,10 @@ from avgmix.exact import is_simple
 from avgmix.graphs import from_edges, path, star
 from avgmix.matchings import (
     counts_to_char_poly,
+    forest_has_perfect_matching,
     forest_matching_counts,
-    has_perfect_matching,
     leaf_next_to_degree_two,
     lower_bound_certificate,
-    matching_counts,
     near_perfect_vertex,
     simple_from_matching_counts,
 )
@@ -20,18 +19,16 @@ from avgmix.polynomials import char_poly
 
 
 def test_matching_counts_examples():
-    assert matching_counts(path(4)) == [1, 3, 1]
-    assert matching_counts(star(4)) == [1, 3]
-    assert matching_counts(path(1)) == [1]
-    with pytest.raises(DomainError):
-        matching_counts(from_edges(3, [(0, 1)]))
+    assert forest_matching_counts(path(4)) == [1, 3, 1]
+    assert forest_matching_counts(star(4)) == [1, 3]
+    assert forest_matching_counts(path(1)) == [1]
 
 
 def test_counts_match_char_poly_coefficients():
     rng = random.Random(123)
     for _ in range(300):
         t = random_tree(rng.randint(1, 16), rng)
-        assert counts_to_char_poly(t.n, matching_counts(t)) == char_poly(t)
+        assert counts_to_char_poly(t.n, forest_matching_counts(t)) == char_poly(t)
 
 
 def test_simple_flag_from_counts_matches_char_poly_route():
@@ -42,9 +39,13 @@ def test_simple_flag_from_counts_matches_char_poly_route():
 
 
 def test_perfect_matching():
-    assert has_perfect_matching(path(4))
-    assert not has_perfect_matching(star(4))
-    assert not has_perfect_matching(path(5))
+    assert forest_has_perfect_matching(path(4))
+    assert not forest_has_perfect_matching(star(4))
+    assert not forest_has_perfect_matching(path(5))
+    # even order and no leaf: the greedy is left with a cycle
+    for n in (4, 6):
+        with pytest.raises(DomainError):
+            forest_has_perfect_matching(from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
     # forests through the induced interface
     assert forest_matching_counts(path(5).delete_vertex(0))[-1] == 1
 
