@@ -1,14 +1,16 @@
 """Parallel exact census of average-mixing ranks over all trees per order.
 
-The enumeration stream is cut into fixed-size chunks of graph6 strings by
-`map_chunks`, the one chunk runner of the package (the 18-vertex search in
-`rooted_family` runs on it too): it maps a per-chunk function over the
-chunks, in this process or in a worker pool, and yields the results in
-chunk order.  Census workers classify each tree of a chunk independently
-and return a tally keyed by (rank, simple).  Tallies are merged strictly in
-chunk order, so the aggregated output is byte-identical whatever the worker
-count, and a checkpoint file holding the completed chunk tallies lets an
-interrupted run resume to the identical result.
+The census encodes every enumerated tree as graph6, and `map_chunks`, the
+one chunk runner of the package (the 18-vertex search in `rooted_family`
+runs on it too), cuts that stream into fixed-size chunks: it maps a
+per-chunk function over the chunks, in this process or in a worker pool,
+and yields the results in chunk order.  Census workers classify each tree
+of a chunk independently and return a tally keyed by (rank, simple).
+Tallies are merged strictly in chunk order, so the aggregated output is
+byte-identical whatever the worker count, and a checkpoint file holding
+the completed chunk tallies lets an interrupted run resume to the
+identical result.  Every finished order's total must equal the free-tree
+count of Otter's formula.
 
 Methods:
   exact      rank and simplicity from the exact average mixing matrix;
@@ -30,7 +32,7 @@ import os
 import re
 from dataclasses import dataclass
 
-from .enumeration import enumerate_trees
+from .enumeration import enumerate_trees, free_tree_count
 from .errors import ConsistencyError
 from .exact import amm_rank, average_mixing_exact, coefficient_matrix, exact_rank
 from .graph6 import parse_graph6, write_graph6
@@ -72,26 +74,25 @@ def classify_tree(t, method: str) -> tuple[int, bool]:
             return exact_rank(coefficient_matrix(t, phi)), True
         return amm_rank(t, phi), False
     if method == "float":
-        from .numeric import numeric_rank, spectral_decomp
+        from .numeric import classify_float
 
-        # one decomposition serves both: the matrix is summed in the cluster
-        # order of average_mixing_float, so the ranks are the same
-        clusters = spectral_decomp(t)
-        return numeric_rank(sum(p * p for _, p in clusters)), len(clusters) == t.n
+        rank, simple, _ = classify_float(t)
+        return rank, simple
     raise ValueError(f"unknown method {method!r}")
 
 
-def map_chunks(fn, trees, chunk_size: int, threads: int):
-    """fn(chunk) for each run of chunk_size consecutive trees, in chunk order.
+def map_chunks(fn, items, chunk_size: int, threads: int):
+    """fn(chunk) for each run of chunk_size consecutive items, in chunk order.
 
-    A chunk is a list of graph6 strings (the last one may be shorter).  With
+    A chunk is a list of the items as given (the last one may be shorter);
+    callers pass encoded trees, which are small to send to a worker.  With
     one thread every chunk runs in this process; otherwise `fn`, which must
     be picklable (a module-level function or a partial of one), runs in a
     worker pool whose results still arrive in chunk order.
     """
     def chunks():
-        it = iter(trees)
-        while chunk := [write_graph6(t) for t in itertools.islice(it, chunk_size)]:
+        it = iter(items)
+        while chunk := list(itertools.islice(it, chunk_size)):
             yield chunk
 
     if threads > 1:
@@ -170,7 +171,8 @@ def census(
     `progress(n, chunks_done)` fires after every completed chunk, after the
     checkpoint has been persisted; raising from it leaves a resumable state.
     A resume raises CheckpointMismatch when the stored tallies of an order
-    do not add up to the trees their chunks hold.
+    do not add up to the trees their chunks hold, and an order whose total
+    is not `free_tree_count(n)` raises ConsistencyError.
     """
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
@@ -201,12 +203,17 @@ def census(
                 f"checkpoint {checkpoint_path} tallies {tallied} trees of order {n} "
                 f"where its stored chunks hold {skipped}",
             )
-        with contextlib.closing(map_chunks(classify, trees, chunk_size, threads)) as parts:
+        encoded = map(write_graph6, trees)
+        with contextlib.closing(map_chunks(classify, encoded, chunk_size, threads)) as parts:
             for index, part in enumerate(parts, start):
                 ckpt.put(n, index, part)
                 _merge(tally, part)
                 if progress:
                     progress(n, index + 1)
+        if (total := sum(tally.values())) != (expected := free_tree_count(n)):
+            raise ConsistencyError(
+                f"order {n}: the census tallies {total} trees, Otter's formula counts {expected}",
+            )
         rows: dict[int, list[int]] = {}
         for key, cnt in tally.items():
             rank, simple = map(int, key.split(","))

@@ -15,7 +15,6 @@ import time
 from .census import (
     METHODS,
     census,
-    classify_tree,
     compare_tables,
     records_from_csv,
     records_to_csv,
@@ -24,7 +23,7 @@ from .errors import ConsistencyError
 from .exact import average_mixing_exact, rat_matrix_to_csv, rat_matrix_to_json
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, parse_edge_list
-from .numeric import average_mixing_float, float_matrix_csv
+from .numeric import classify_float, float_matrix_csv
 from .rooted_family import build_family, family_report_csv, find_t_star
 from .verify import SUITES, run_suite
 
@@ -96,10 +95,10 @@ def _cmd_census(args) -> int:
 def _cmd_rank(args) -> int:
     g = _load_graph(args.graph)
     if args.method == "float":
-        rank, simple = classify_tree(g, "float")
+        rank, simple, matrix = classify_float(g)
         print(f"n={g.n} rank={rank} simple={str(simple).lower()} method=float")
         if args.matrix:
-            sys.stdout.write(float_matrix_csv(average_mixing_float(g)))
+            sys.stdout.write(float_matrix_csv(matrix))
         return 0
     res = average_mixing_exact(g)
     print(f"n={g.n} rank={res.rank} simple={str(res.simple).lower()} method=exact")

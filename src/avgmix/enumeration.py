@@ -108,6 +108,26 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
                 yield Tree(n, tuple(edges))
 
 
+def free_tree_count(n: int) -> int:
+    """Number of free trees on n vertices, in exact integers.
+
+    The rooted counts r come from Cayley's recurrence
+    (m - 1) r(m) = sum_{k<m} (sum_{d | k} d r(d)) r(m - k), and Otter's
+    formula (Ann. Math. 1948), the coefficient of x^n in
+    r(x) - (r(x)^2 - r(x^2)) / 2, gives the free ones.  An independent
+    check on `enumerate_trees(n)`.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    r = [0, 1]
+    a = [0, 1]  # a[k] = sum_{d | k} d r(d)
+    for m in range(2, n + 1):
+        r.append(sum(a[k] * r[m - k] for k in range(1, m)) // (m - 1))
+        a.append(sum(d * r[d] for d in range(1, m + 1) if m % d == 0))
+    pairs = sum(r[i] * r[n - i] for i in range(1, n)) - (r[n // 2] if n % 2 == 0 else 0)
+    return r[n] - pairs // 2
+
+
 def random_tree(n: int, rng: random.Random) -> Tree:
     """Uniform random labelled tree via a random Pruefer sequence."""
     if n < 1:

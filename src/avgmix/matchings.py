@@ -5,13 +5,20 @@ its coefficients (coefficient of t^(n-2k) is (-1)^k m_k).  The counts come
 from one rooted pass per component that folds each child into two count
 vectors, and the same traversal rejects a graph with a cycle.  Its caller
 hands `counts_to_char_poly` of the counts to `exact`, so one DP per tree
-gives both simplicity and rank.  The rows of the coefficient matrix are
-the characteristic polynomials of the vertex-deleted forests, the
-diagonal of adj(tI - A) (`exact`).  The certificate machinery reads from
-that matrix: for every tree with all eigenvalues distinct (other than the
-path on four vertices) it produces a 3x3 integer submatrix with nonzero
-determinant, certifying that the average mixing matrix has rank at least
-three.
+gives both simplicity and rank.
+
+The matching number nu alone comes cheaper, in linear time, from greedy
+leaf matching (Karp & Sipser, FOCS 1981), and it already rules most trees
+out: the eigenvalue 0 of a forest has multiplicity n - 2 nu (Cvetkovic,
+Doob & Sachs, Spectra of Graphs), so a tree with 2 nu < n - 1 is not
+simple.  The 18-vertex scan runs the DP only on the trees that pass.
+
+The rows of the coefficient matrix are the characteristic polynomials of
+the vertex-deleted forests, the diagonal of adj(tI - A) (`exact`).  The
+certificate machinery reads from that matrix: for every tree with all
+eigenvalues distinct (other than the path on four vertices) it produces
+a 3x3 integer submatrix with nonzero determinant, certifying that the
+average mixing matrix has rank at least three.
 """
 
 from __future__ import annotations
@@ -102,37 +109,58 @@ def simple_from_matching_counts(n: int, counts: list[int]) -> bool:
     return is_squarefree(h)
 
 
-def forest_has_perfect_matching(g: Graph) -> bool:
-    """Greedy leaf matching.  A leaf's pairing is forced in any graph, so an
-    answer reached holds for any graph; vertices left with no leaf among them
-    all have degree >= 2, which closes a cycle: DomainError."""
-    if g.n % 2:
-        return False
-    nbr = [set(ns) for ns in g.neighbors()]
-    deg = [len(s) for s in nbr]
-    alive = [True] * g.n
-    remaining = g.n
+def matching_number(g: Graph) -> int:
+    """Size nu of a maximum matching, by greedy leaf matching.
+
+    A leaf lies on an edge of some maximum matching together with its one
+    neighbour, in any graph, so matching each leaf to its neighbour,
+    deleting both and dropping isolated vertices until no vertex is left
+    yields a maximum matching (Karp & Sipser, FOCS 1981).  That answer is
+    exact on every forest, and on any graph the greedy gets through; when
+    the vertices left include no leaf they all have degree >= 2, which
+    closes a cycle: DomainError.  Linear time.
+
+    For a forest, n - 2 nu is the multiplicity of the eigenvalue 0
+    (Cvetkovic, Doob & Sachs, Spectra of Graphs), so a forest with
+    2 nu < n - 1 has a repeated eigenvalue.
+    """
+    nbr: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    deg = [len(ns) for ns in nbr]  # neighbours left; -1 once removed
     stack = [v for v in range(g.n) if deg[v] <= 1]
+    left = g.n
+    matched = 0
     while stack:
         u = stack.pop()
-        if not alive[u]:
+        if deg[u] < 0:
             continue
-        if deg[u] == 0:
-            return False
-        v = next(iter(nbr[u]))
-        for x in (u, v):
-            alive[x] = False
-            remaining -= 1
-        for w in nbr[v] - {u}:
-            nbr[w].discard(v)
-            deg[w] -= 1
-            if deg[w] <= 1:
-                stack.append(w)
-        nbr[u].clear()
-        nbr[v].clear()
-    if remaining:
+        isolated = not deg[u]
+        deg[u] = -1
+        left -= 1
+        if isolated:
+            continue
+        for v in nbr[u]:  # the one neighbour u has left
+            if deg[v] >= 0:
+                break
+        deg[v] = -1
+        left -= 1
+        matched += 1
+        for w in nbr[v]:
+            if deg[w] > 0:
+                deg[w] -= 1
+                if deg[w] <= 1:
+                    stack.append(w)
+    if left:
         raise DomainError("greedy leaf matching needs an acyclic graph")
-    return True
+    return matched
+
+
+def forest_has_perfect_matching(g: Graph) -> bool:
+    """Whether a forest has a perfect matching; DomainError on a cycle the
+    greedy of `matching_number` cannot get past."""
+    return g.n % 2 == 0 and 2 * matching_number(g) == g.n
 
 
 def near_perfect_vertex(t: Graph) -> int | None:

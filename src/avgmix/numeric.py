@@ -84,12 +84,27 @@ def cesaro_average(x: Graph, T: float, samples: int) -> np.ndarray:
     return acc / samples
 
 
-def average_mixing_float(x: Graph) -> np.ndarray:
-    """Sum of the squared cluster projectors."""
-    out = np.zeros((x.n, x.n))
-    for _, proj in spectral_decomp(x):
+def _projector_square_sum(n: int, clusters) -> np.ndarray:
+    out = np.zeros((n, n))
+    for _, proj in clusters:
         out += proj * proj
     return out
+
+
+def average_mixing_float(x: Graph) -> np.ndarray:
+    """Sum of the squared cluster projectors."""
+    return _projector_square_sum(x.n, spectral_decomp(x))
+
+
+def classify_float(x: Graph) -> tuple[int, bool, np.ndarray]:
+    """(numeric rank, simple, matrix) of the float average mixing matrix.
+
+    One decomposition serves all three: simplicity is one eigenvalue per
+    cluster, and the matrix is `average_mixing_float(x)`.
+    """
+    clusters = spectral_decomp(x)
+    m = _projector_square_sum(x.n, clusters)
+    return numeric_rank(m), len(clusters) == x.n, m
 
 
 def numeric_rank(m) -> int:

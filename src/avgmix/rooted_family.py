@@ -35,7 +35,12 @@ from .exact import (
 )
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, Tree, rooted_product_k2
-from .matchings import counts_to_char_poly, forest_matching_counts, simple_from_matching_counts
+from .matchings import (
+    counts_to_char_poly,
+    forest_matching_counts,
+    matching_number,
+    simple_from_matching_counts,
+)
 # is_squarefree is not called here; perfbench/layers.py wraps avgmix.rooted_family:is_squarefree
 from .polynomials import IntPoly, char_poly, is_squarefree, poly_add, poly_mul, poly_scale, poly_shift
 
@@ -146,10 +151,15 @@ _SEARCH_ORDER = 18
 _SEARCH_RANK_CEILING = 9
 
 
-def _scan_chunk(rank_below: int, payload: list[str]) -> tuple[int, list[tuple[str, int]]]:
-    """(trees scanned, [(graph6, rank)] of the chunk's hits in order)."""
+def _scan_chunk(rank_below: int, payload: list[str | None]) -> tuple[int, list[tuple[str, int]]]:
+    """(trees scanned, [(graph6, rank)] of the chunk's hits in order).
+
+    A None in the payload is a tree the prefilter ruled out.
+    """
     hits = []
     for g6 in payload:
+        if g6 is None:
+            continue
         t = parse_graph6(g6)
         counts = forest_matching_counts(t)
         if not simple_from_matching_counts(t.n, counts):
@@ -169,9 +179,13 @@ def search_low_rank_simple_trees(
 ) -> list[tuple[int, Tree]]:
     """All simple-spectrum trees on n vertices with coefficient rank below a bound.
 
-    Returns (rank, tree) pairs in enumeration order.  Simplicity is decided
-    by the matching-count squarefree test and the rank by fraction-free
-    elimination of the integer coefficient matrix, so the scan is exact.
+    Returns (rank, tree) pairs in enumeration order.  Greedy leaf matching
+    prefilters: a tree whose matching number nu has 2 nu < n - 1 has the
+    eigenvalue 0 at least twice, so only the others are encoded as graph6
+    and the rest travel as None, keeping chunks and `progress` those of the
+    enumeration.  Simplicity is then decided by the matching-count
+    squarefree test and the rank by fraction-free elimination of the
+    integer coefficient matrix, so the scan is exact.
     `progress(trees_scanned)` fires after every chunk.
     """
     if threads < 1:
@@ -179,9 +193,13 @@ def search_low_rank_simple_trees(
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
     scan = functools.partial(_scan_chunk, rank_below)
+    encoded = (
+        write_graph6(t) if 2 * matching_number(t) >= t.n - 1 else None
+        for t in enumerate_trees(n)
+    )
     hits: list[tuple[str, int]] = []
     scanned = 0
-    for count, part in map_chunks(scan, enumerate_trees(n), chunk_size, threads):
+    for count, part in map_chunks(scan, encoded, chunk_size, threads):
         hits.extend(part)
         scanned += count
         if progress:

@@ -51,6 +51,7 @@ def test_coeff_fast_runs_one_matching_dp_per_tree(monkeypatch):
     for module, name in (
         ("census", "forest_matching_counts"),
         ("rooted_family", "forest_matching_counts"),
+        ("rooted_family", "write_graph6"),
         ("exact", "forest_char_poly"),
     ):
         owner = importlib.import_module(f"avgmix.{module}")
@@ -66,7 +67,11 @@ def test_coeff_fast_runs_one_matching_dp_per_tree(monkeypatch):
         assert dict(calls) == {"census.forest_matching_counts": 1}, t.edges
     calls.clear()
     search_low_rank_simple_trees(10, 6)
-    assert dict(calls) == {"rooted_family.forest_matching_counts": 106}
+    # only the 15 of the 106 trees that pass the leaf-matching prefilter
+    assert dict(calls) == {
+        "rooted_family.forest_matching_counts": 15,
+        "rooted_family.write_graph6": 15,
+    }
     calls.clear()
     build_family(1, base=path(4))
     assert dict(calls) == {"census.forest_matching_counts": 2}

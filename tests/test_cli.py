@@ -1,9 +1,13 @@
+import importlib
 import os
 import re
 import subprocess
 import sys
 
+import pytest
+
 import avgmix
+import avgmix.numeric as numeric
 import avgmix.polynomials as polynomials_module
 import avgmix.rooted_family as rooted_family
 import avgmix.verify as verify
@@ -18,13 +22,17 @@ def test_rank_graph6_literal(capsys):
     assert "rank=2" in out and "simple=true" in out
 
 
-def test_rank_star_and_float_method(capsys):
+def test_rank_star_and_float_method(monkeypatch, capsys):
     g6 = write_graph6(star(6))
     assert main(["rank", g6]) == 0
     assert "rank=6" in capsys.readouterr().out
     assert main(["rank", g6, "--method", "float"]) == 0
     assert "rank=6" in capsys.readouterr().out
+    decompose = numeric.spectral_decomp
+    calls = []
+    monkeypatch.setattr(numeric, "spectral_decomp", lambda g: calls.append(g) or decompose(g))
     assert main(["rank", g6, "--method", "float", "--matrix"]) == 0
+    assert len(calls) == 1  # rank, simplicity and the matrix from one decomposition
     head, *rows = capsys.readouterr().out.splitlines()
     assert "rank=6" in head and len(rows) == 6
     exact = avgmix.average_mixing_exact(star(6)).matrix
@@ -94,6 +102,31 @@ def test_census_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("AMM_THREADS", "0")
     assert main(["census", "--n-max", "3"]) == 2
     assert "threads" in capsys.readouterr().err
+
+
+def test_census_tree_count_mismatch_exits_1(tmp_path, monkeypatch, capsys):
+    census_module = importlib.import_module("avgmix.census")
+    ck = str(tmp_path / "ck.json")
+
+    class Stop(Exception):
+        pass
+
+    def stop(n, done):
+        raise Stop
+
+    with pytest.raises(Stop):  # one stored chunk of order 7 to resume from
+        census_module.census(7, 7, chunk_size=4, checkpoint_path=ck, progress=stop)
+    full = census_module.enumerate_trees
+
+    def drop_last(n):
+        yield from list(full(n))[:-1]
+
+    monkeypatch.setattr(census_module, "enumerate_trees", drop_last)
+    assert main(["census", "--n-max", "6"]) == 1
+    assert "order 2: the census tallies 0 trees, Otter's formula counts 1" in capsys.readouterr().err
+    resume = ["census", "--n-min", "7", "--n-max", "7", "--chunk-size", "4", "--checkpoint", ck]
+    assert main(resume) == 1
+    assert "order 7: the census tallies 10 trees" in capsys.readouterr().err
 
 
 def test_verbose_census_survives_closed_stderr(tmp_path):

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from avgmix.enumeration import enumerate_trees, random_tree
+from avgmix.enumeration import enumerate_trees, free_tree_count, random_tree
 from avgmix.graphs import Tree
+from avgmix.reference_data import REFERENCE_RANK_TABLE
 
 # Per-order totals of the published census tables (equal to the standard
 # unlabelled-tree counts).
@@ -18,6 +19,15 @@ def test_counts_match_published_totals():
     for n, expected in TABLE_TOTALS.items():
         if n <= 12:
             assert sum(1 for _ in enumerate_trees(n)) == expected, n
+
+
+def test_free_tree_count_matches_published_totals():
+    assert free_tree_count(1) == 1
+    for n, rows in REFERENCE_RANK_TABLE.items():
+        assert free_tree_count(n) == sum(trees for _, trees, _ in rows), n
+    assert free_tree_count(21) == 2_144_505 and free_tree_count(22) == 5_623_756
+    with pytest.raises(ValueError):
+        free_tree_count(0)
 
 
 def test_single_vertex_and_examples():

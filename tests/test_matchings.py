@@ -12,6 +12,7 @@ from avgmix.matchings import (
     forest_matching_counts,
     leaf_next_to_degree_two,
     lower_bound_certificate,
+    matching_number,
     near_perfect_vertex,
     simple_from_matching_counts,
 )
@@ -38,14 +39,55 @@ def test_simple_flag_from_counts_matches_char_poly_route():
             assert got == is_simple(t)
 
 
+def _cycle(n):
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def test_matching_number_and_prefilter_exhaustive():
+    """Greedy leaf matching gives the DP's maximum matching size, and the DP's
+    simplicity test rejects every tree with 2 nu < n - 1, so the scan's
+    prefilter drops no tree the DP would keep."""
+    survivors = []
+    for n in range(2, 15):
+        kept = 0
+        for t in enumerate_trees(n):
+            nu = matching_number(t)
+            counts = forest_matching_counts(t)
+            assert nu == len(counts) - 1, t.edges
+            if 2 * nu >= n - 1:
+                kept += 1
+            else:
+                assert not simple_from_matching_counts(n, counts), t.edges
+        survivors.append(kept)
+    assert survivors == [1, 1, 1, 2, 2, 6, 5, 20, 15, 76, 49, 313, 180]
+
+
+def test_matching_number_forests_and_cycles():
+    assert matching_number(path(1)) == 0
+    assert matching_number(from_edges(3, [])) == 0
+    assert matching_number(star(5).delete_vertex(0)) == 0  # four isolated vertices
+    assert matching_number(path(7).delete_vertex(2)) == 3  # P2 and P4
+    for n in range(2, 9):
+        for t in enumerate_trees(n):
+            for v in range(n):
+                f = t.delete_vertex(v)
+                assert matching_number(f) == len(forest_matching_counts(f)) - 1, (t.edges, v)
+    for n in (3, 4, 6):
+        with pytest.raises(DomainError):
+            matching_number(_cycle(n))
+    # a leaf's pairing is forced in any graph: a triangle with a pendant is matched
+    assert matching_number(from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])) == 2
+
+
 def test_perfect_matching():
     assert forest_has_perfect_matching(path(4))
     assert not forest_has_perfect_matching(star(4))
     assert not forest_has_perfect_matching(path(5))
-    # even order and no leaf: the greedy is left with a cycle
-    for n in (4, 6):
+    # even order and a cycle the greedy cannot get past, also after it drops
+    # two isolated vertices
+    for g in (_cycle(4), _cycle(6), from_edges(6, [(2, 3), (3, 4), (4, 5), (5, 2)])):
         with pytest.raises(DomainError):
-            forest_has_perfect_matching(from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+            forest_has_perfect_matching(g)
     # forests through the induced interface
     assert forest_matching_counts(path(5).delete_vertex(0))[-1] == 1
 

@@ -5,8 +5,9 @@ import pytest
 
 from avgmix.enumeration import enumerate_trees
 from avgmix.errors import ConsistencyError, DomainError
-from avgmix.exact import average_mixing_exact, is_simple, kernel_exact
+from avgmix.exact import average_mixing_exact, coefficient_matrix, exact_rank, is_simple, kernel_exact
 from avgmix.graphs import Graph, path, rooted_product_k2, star
+from avgmix.matchings import counts_to_char_poly, forest_matching_counts, simple_from_matching_counts
 from avgmix.numeric import eigh
 from avgmix.polynomials import char_poly, is_squarefree
 from avgmix.rooted_family import (
@@ -118,6 +119,20 @@ def test_search_hits_independent_of_threads_and_chunk_size():
     first = runs[(1, 2048)]
     assert len(first) == 11
     assert all(hits == first for hits in runs.values())
+
+
+def test_search_at_odd_order_matches_dp_on_every_tree():
+    """At odd n the prefilter's bound 2 nu >= n - 1 keeps trees with a
+    near-perfect matching; every simple tree of order 11 has rank <= 6, so
+    with rank_below 7 every simple tree is a hit."""
+    want = []
+    for t in enumerate_trees(11):
+        counts = forest_matching_counts(t)
+        if simple_from_matching_counts(t.n, counts):
+            rank = exact_rank(coefficient_matrix(t, counts_to_char_poly(t.n, counts)))
+            want.append((rank, t.edges))
+    got = [(rank, t.edges) for rank, t in search_low_rank_simple_trees(11, 7, chunk_size=50)]
+    assert got == want and len(want) > 0
 
 
 def test_search_progress_counts_trees_scanned():
