@@ -1,8 +1,8 @@
 """Parallel exact census of average-mixing ranks over all trees per order.
 
-The census encodes every enumerated tree as graph6, and `map_chunks`, the
+The census hands the enumerator's stream of `Tree`s to `map_chunks`, the
 one chunk runner of the package (the 18-vertex search in `rooted_family`
-runs on it too), cuts that stream into fixed-size chunks: it maps a
+runs on it too), which cuts it into fixed-size chunks: it maps a
 per-chunk function over the chunks, in this process or in a worker pool,
 and yields the results in chunk order.  Census workers classify each tree
 of a chunk independently and return a tally keyed by (rank, simple).
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from .enumeration import enumerate_trees, free_tree_count
 from .errors import ConsistencyError
 from .exact import amm_rank, average_mixing_exact, coefficient_matrix, exact_rank
+# parse_graph6 is not called here; perfbench/layers.py wraps avgmix.census:parse_graph6
 from .graph6 import parse_graph6, write_graph6
 from .matchings import counts_to_char_poly, forest_matching_counts, simple_from_matching_counts
 from .reference_data import (
@@ -84,28 +85,31 @@ def classify_tree(t, method: str) -> tuple[int, bool]:
 def map_chunks(fn, items, chunk_size: int, threads: int):
     """fn(chunk) for each run of chunk_size consecutive items, in chunk order.
 
-    A chunk is a list of the items as given (the last one may be shorter);
-    callers pass encoded trees, which are small to send to a worker.  With
-    one thread every chunk runs in this process; otherwise `fn`, which must
-    be picklable (a module-level function or a partial of one), runs in a
-    worker pool whose results still arrive in chunk order.
+    A chunk holds the items as given (the last one may be shorter).  With
+    one thread every chunk runs in this process and is a lazy slice of
+    `items`, drawn as `fn` iterates it, so no chunk is ever held whole;
+    `fn` must consume its chunk before it returns.  Otherwise `fn`, which
+    must be picklable (a module-level function or a partial of one), runs
+    in a worker pool on each chunk pickled as a list, and the results
+    still arrive in chunk order.
     """
+    it = iter(items)
+
     def chunks():
-        it = iter(items)
-        while chunk := list(itertools.islice(it, chunk_size)):
-            yield chunk
+        for first in it:
+            yield itertools.chain((first,), itertools.islice(it, chunk_size - 1))
 
     if threads > 1:
         with multiprocessing.Pool(threads) as pool:
-            yield from pool.imap(fn, chunks())
+            yield from pool.imap(fn, map(list, chunks()))
     else:
         yield from map(fn, chunks())
 
 
-def _census_chunk(method: str, payload: list[str]) -> dict[str, int]:
+def _census_chunk(method: str, trees) -> dict[str, int]:
     tally: dict[str, int] = {}
-    for g6 in payload:
-        rank, simple = classify_tree(parse_graph6(g6), method)
+    for t in trees:
+        rank, simple = classify_tree(t, method)
         key = f"{rank},{int(simple)}"
         tally[key] = tally.get(key, 0) + 1
     return tally
@@ -203,8 +207,7 @@ def census(
                 f"checkpoint {checkpoint_path} tallies {tallied} trees of order {n} "
                 f"where its stored chunks hold {skipped}",
             )
-        encoded = map(write_graph6, trees)
-        with contextlib.closing(map_chunks(classify, encoded, chunk_size, threads)) as parts:
+        with contextlib.closing(map_chunks(classify, trees, chunk_size, threads)) as parts:
             for index, part in enumerate(parts, start):
                 ckpt.put(n, index, part)
                 _merge(tally, part)

@@ -96,9 +96,6 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self.components()) == 1
 
-    def is_forest(self) -> bool:
-        return self.m == self.n - len(self.components())
-
     def delete_vertex(self, u: int) -> "Graph":
         """Induced subgraph on V minus u, remaining vertices relabelled in order."""
         if not 0 <= u < self.n:

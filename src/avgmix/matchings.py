@@ -243,9 +243,10 @@ def lower_bound_certificate(t: Graph) -> LowerBoundCertificate:
       C3: otherwise; rows u, v, z with z the least vertex whose deletion
           leaves a perfect matching; same columns; determinant (-1)^(j+1).
 
-    Simplicity and the submatrix of `exact.coefficient_matrix` come from
-    one matching DP; the determinant must equal the closed form and be
-    nonzero; the path on four vertices is the unique exception, rejected.
+    Simplicity, the C1 test and the submatrix of `exact.coefficient_matrix`
+    come from one matching DP; the determinant must equal the closed form
+    and be nonzero; the path on four vertices is the unique exception,
+    rejected.
     """
     from .exact import coefficient_matrix
     from .graph6 import write_graph6
@@ -264,8 +265,8 @@ def lower_bound_certificate(t: Graph) -> LowerBoundCertificate:
     w = next(x for x in t.neighbors()[v] if x != u)
     ell = t.degrees()[w]
 
-    if forest_has_perfect_matching(t):
-        if n < 6 or n % 2:
+    if 2 * (len(counts) - 1) == n:  # a maximum matching covers every vertex
+        if n < 6:
             raise ConsistencyError("perfect matching case outside n even >= 6", [g6])
         k = n // 2
         keep = [x for x in range(n) if x not in (u, v, w)]

@@ -151,23 +151,21 @@ _SEARCH_ORDER = 18
 _SEARCH_RANK_CEILING = 9
 
 
-def _scan_chunk(rank_below: int, payload: list[str | None]) -> tuple[int, list[tuple[str, int]]]:
-    """(trees scanned, [(graph6, rank)] of the chunk's hits in order).
-
-    A None in the payload is a tree the prefilter ruled out.
-    """
+def _scan_chunk(rank_below: int, trees) -> tuple[int, list[tuple[int, Tree]]]:
+    """(trees scanned, [(rank, tree)] of the chunk's hits in order)."""
+    scanned = 0
     hits = []
-    for g6 in payload:
-        if g6 is None:
+    for t in trees:
+        scanned += 1
+        if 2 * matching_number(t) < t.n - 1:
             continue
-        t = parse_graph6(g6)
         counts = forest_matching_counts(t)
         if not simple_from_matching_counts(t.n, counts):
             continue
         rank = exact_rank(coefficient_matrix(t, counts_to_char_poly(t.n, counts)))
         if rank < rank_below:
-            hits.append((g6, rank))
-    return len(payload), hits
+            hits.append((rank, t))
+    return scanned, hits
 
 
 def search_low_rank_simple_trees(
@@ -181,41 +179,32 @@ def search_low_rank_simple_trees(
 
     Returns (rank, tree) pairs in enumeration order.  Greedy leaf matching
     prefilters: a tree whose matching number nu has 2 nu < n - 1 has the
-    eigenvalue 0 at least twice, so only the others are encoded as graph6
-    and the rest travel as None, keeping chunks and `progress` those of the
-    enumeration.  Simplicity is then decided by the matching-count
-    squarefree test and the rank by fraction-free elimination of the
-    integer coefficient matrix, so the scan is exact.
-    `progress(trees_scanned)` fires after every chunk.
+    eigenvalue 0 at least twice and is skipped.  Simplicity of the others
+    is then decided by the matching-count squarefree test and the rank by
+    fraction-free elimination of the integer coefficient matrix, so the
+    scan is exact.  `progress(trees_scanned)` fires after every chunk.
     """
     if threads < 1:
         raise ValueError("threads must be positive")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
     scan = functools.partial(_scan_chunk, rank_below)
-    encoded = (
-        write_graph6(t) if 2 * matching_number(t) >= t.n - 1 else None
-        for t in enumerate_trees(n)
-    )
-    hits: list[tuple[str, int]] = []
+    hits: list[tuple[int, Tree]] = []
     scanned = 0
-    for count, part in map_chunks(scan, encoded, chunk_size, threads):
+    for count, part in map_chunks(scan, enumerate_trees(n), chunk_size, threads):
         hits.extend(part)
         scanned += count
         if progress:
             progress(scanned)
-    return [(rank, _as_tree(parse_graph6(g6))) for g6, rank in hits]
-
-
-def _as_tree(g: Graph) -> Tree:
-    return Tree(g.n, g.edges)
+    return hits
 
 
 def load_t_star(path: str) -> Tree:
     """Read the cached tree and re-verify its characteristic polynomial."""
     with open(path, "r", encoding="ascii") as fh:
         line = fh.readline().strip()
-    t = _as_tree(parse_graph6(line))
+    g = parse_graph6(line)
+    t = Tree(g.n, g.edges)
     if t.n != _SEARCH_ORDER or char_poly(t) != tstar_charpoly():
         raise ConsistencyError("cached tree fails the characteristic polynomial check", [line])
     return t

@@ -12,11 +12,12 @@ from avgmix.census import (
     census,
     classify_tree,
     compare_tables,
+    map_chunks,
     records_from_csv,
     records_to_csv,
     verify_totals,
 )
-from avgmix.enumeration import enumerate_trees
+from avgmix.enumeration import enumerate_trees, free_tree_count
 from avgmix.graphs import path, star
 from avgmix.reference_data import REFERENCE_RANK_TABLE
 from avgmix.rooted_family import build_family, search_low_rank_simple_trees
@@ -45,13 +46,17 @@ def test_float_classification_decomposes_each_tree_once(monkeypatch):
 
 
 def test_coeff_fast_runs_one_matching_dp_per_tree(monkeypatch):
-    """Every ranked tree takes its characteristic polynomial from its one DP."""
+    """Every ranked tree takes its characteristic polynomial from its one DP,
+    and the census and the scan rank the enumerator's trees without graph6."""
     calls = Counter()
     # `import avgmix.census` would bind the re-exported function `census`
     for module, name in (
         ("census", "forest_matching_counts"),
+        ("census", "write_graph6"),
+        ("census", "parse_graph6"),
         ("rooted_family", "forest_matching_counts"),
         ("rooted_family", "write_graph6"),
+        ("rooted_family", "parse_graph6"),
         ("exact", "forest_char_poly"),
     ):
         owner = importlib.import_module(f"avgmix.{module}")
@@ -68,13 +73,34 @@ def test_coeff_fast_runs_one_matching_dp_per_tree(monkeypatch):
     calls.clear()
     search_low_rank_simple_trees(10, 6)
     # only the 15 of the 106 trees that pass the leaf-matching prefilter
-    assert dict(calls) == {
-        "rooted_family.forest_matching_counts": 15,
-        "rooted_family.write_graph6": 15,
-    }
+    assert dict(calls) == {"rooted_family.forest_matching_counts": 15}
+    calls.clear()
+    census(2, 9)
+    assert dict(calls) == {"census.forest_matching_counts": sum(map(free_tree_count, range(2, 10)))}
     calls.clear()
     build_family(1, base=path(4))
     assert dict(calls) == {"census.forest_matching_counts": 2}
+
+
+def test_one_thread_chunks_draw_each_item_after_the_last_is_taken():
+    """With one thread a chunk is a lazy slice: item k + 1 is drawn only
+    after the chunk function has taken item k, so no chunk is held whole."""
+    events = []
+
+    def items():
+        for k in range(7):
+            events.append(("draw", k))
+            yield k
+
+    def fn(chunk):
+        taken = []
+        for k in chunk:
+            events.append(("take", k))
+            taken.append(k)
+        return taken
+
+    assert list(map_chunks(fn, items(), 3, threads=1)) == [[0, 1, 2], [3, 4, 5], [6]]
+    assert events == [(what, k) for k in range(7) for what in ("draw", "take")]
 
 
 def test_census_matches_reference_small(census_2_12):
