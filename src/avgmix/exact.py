@@ -38,8 +38,9 @@ RatMatrix = list[list[Fraction]]
 
 
 def _phi(x: Graph) -> IntPoly:
-    """Characteristic polynomial from the matching-count DP, or from
-    Faddeev-LeVerrier once the DP's traversal meets a cycle (DomainError)."""
+    """Characteristic polynomial from the matching-count DP on a forest, or
+    from Faddeev-LeVerrier when the DP's forest test, m = n - (number of
+    spanning-forest roots), finds a cycle (DomainError)."""
     try:
         return forest_char_poly(x)
     except DomainError:

@@ -55,13 +55,13 @@ class Graph:
         return a
 
     def neighbors(self) -> list[list[int]]:
-        """Adjacency lists, each sorted ascending."""
+        """Adjacency lists, each ascending with no sort: the edges are sorted
+        pairs u < v, so v's list gets every smaller u (edges (u, v)) in
+        order before every larger w (edges (v, w)) in order."""
         nbr = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbr[u].append(v)
             nbr[v].append(u)
-        for lst in nbr:
-            lst.sort()
         return nbr
 
     def degrees(self) -> list[int]:
@@ -71,30 +71,35 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by least vertex."""
+    def spanning_forest(self) -> tuple[list[int], list[int]]:
+        """(preorder, parent) of one spanning forest, grown depth-first.
+
+        Each least unreached vertex roots a tree (parent -1), and every other
+        vertex's parent is the vertex it was first reached from; a stack
+        visits each subtree whole, so a parent precedes its children.  There
+        is one root per connected component, and the graph is a forest
+        exactly when m = n - (number of roots).  Computed on every call and
+        never stored, so instances stay small to pickle.
+        """
         nbr = self.neighbors()
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
+        parent = [-2] * self.n  # -2: not reached yet
+        order = []
+        for root in range(self.n):
+            if parent[root] != -2:
                 continue
-            stack = [s]
-            seen[s] = True
-            comp = []
+            parent[root] = -1
+            stack = [root]
             while stack:
                 v = stack.pop()
-                comp.append(v)
+                order.append(v)
                 for w in nbr[v]:
-                    if not seen[w]:
-                        seen[w] = True
+                    if parent[w] == -2:
+                        parent[w] = v
                         stack.append(w)
-            comp.sort()
-            comps.append(comp)
-        return comps
+        return order, parent
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        return self.spanning_forest()[1].count(-1) == 1
 
     def delete_vertex(self, u: int) -> "Graph":
         """Induced subgraph on V minus u, remaining vertices relabelled in order."""

@@ -1,17 +1,21 @@
 """Matching counts on forests and the rank lower-bound certificates.
 
 For a forest the characteristic polynomial carries the matching counts in
-its coefficients (coefficient of t^(n-2k) is (-1)^k m_k).  The counts come
-from one rooted pass per component that folds each child into two count
-vectors, and the same traversal rejects a graph with a cycle.  Its caller
-hands `counts_to_char_poly` of the counts to `exact`, so one DP per tree
-gives both simplicity and rank.
+its coefficients (coefficient of t^(n-2k) is (-1)^k m_k; Godsil & Gutman,
+J. Graph Theory 1981).  Both matching routines walk the graph's one
+traversal, `Graph.spanning_forest`, children first (reversed preorder),
+and share one domain: a graph is a forest exactly when m = n - (number of
+roots), and any other graph raises DomainError.  The counts come from
+folding each child into its parent's two count vectors; the caller hands
+`counts_to_char_poly` of them to `exact`, so one DP per tree gives both
+simplicity and rank.
 
 The matching number nu alone comes cheaper, in linear time, from greedy
-leaf matching (Karp & Sipser, FOCS 1981), and it already rules most trees
-out: the eigenvalue 0 of a forest has multiplicity n - 2 nu (Cvetkovic,
-Doob & Sachs, Spectra of Graphs), so a tree with 2 nu < n - 1 is not
-simple.  The 18-vertex scan runs the DP only on the trees that pass.
+leaf matching (Karp & Sipser, FOCS 1981): the same leaf rule, run children
+first over the spanning forest, on the same domain of forests.  It
+already rules most trees out: the eigenvalue 0 of a forest has
+multiplicity n - 2 nu (Cvetkovic, Doob & Sachs, Spectra of Graphs), so a
+tree with 2 nu < n - 1 is not simple.  The 18-vertex scan runs the DP only on the trees that pass.
 
 The rows of the coefficient matrix are the characteristic polynomials of
 the vertex-deleted forests, the diagonal of adj(tI - A) (`exact`).  The
@@ -35,48 +39,40 @@ def _require_tree(t: Graph, what: str) -> None:
         raise DomainError(f"{what} expects a tree")
 
 
+def _forest(g: Graph) -> tuple[list[int], list[int]]:
+    """g's spanning forest (preorder, parent), or DomainError unless g is
+    that forest, i.e. m = n - (number of roots)."""
+    order, parent = g.spanning_forest()
+    if g.m != g.n - parent.count(-1):
+        raise DomainError("matching counts and leaf matching need an acyclic graph")
+    return order, parent
+
+
 def forest_matching_counts(g: Graph) -> list[int]:
     """Counts (m_0, m_1, ..., m_M) of k-edge matchings of a forest.
 
     Trailing zero counts are stripped, so the last entry belongs to a
-    maximum matching.  One depth-first traversal roots each component; a
-    visited neighbour other than the parent closes a cycle and raises
-    DomainError.  Children first, each vertex folds its children c into
-    two count vectors, A (all matchings of its subtree) and F (those
-    leaving the vertex free), from A = F = [1]:
+    maximum matching.  DomainError unless g is a forest.  Over the reversed
+    preorder of the spanning forest, each vertex's subtree is complete when
+    it is reached, and is folded into its parent p.  Every vertex holds two
+    count vectors, A (all matchings of its subtree) and F (those leaving
+    the vertex free), from A = F = [1]; a child c folds in as
 
-        A <- A*A_c + x*F*F_c,    F <- F*A_c
+        A_p <- A_p*A_c + x*F_p*F_c,    F_p <- F_p*A_c
 
-    where x shifts by one edge (the vertex matched to c).  The forest's
-    counts are the product of the roots' A.
+    where x shifts by one edge (p matched to c).  The forest's counts are
+    the product of the roots' A.
     """
-    nbr = g.neighbors()
-    parent = [-2] * g.n  # -2: not reached yet, -1: a root
+    order, parent = _forest(g)
+    a = [[1]] * g.n
+    f = [[1]] * g.n
     total = [1]
-    for root in range(g.n):
-        if parent[root] != -2:
-            continue
-        parent[root] = -1
-        order = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w in nbr[v]:
-                if parent[w] == -2:
-                    parent[w] = v
-                    stack.append(w)
-                elif w != parent[v]:
-                    raise DomainError("matching counts by this recurrence need an acyclic graph")
-        table: dict[int, tuple[list[int], list[int]]] = {}
-        for v in reversed(order):
-            a, f = [1], [1]
-            for c in nbr[v]:
-                if c != parent[v]:
-                    ac, fc = table.pop(c)
-                    a, f = poly_add(poly_mul(a, ac), [0] + poly_mul(f, fc)), poly_mul(f, ac)
-            table[v] = (a, f)
-        total = poly_mul(total, table.pop(root)[0])
+    for c in reversed(order):
+        p = parent[c]
+        if p < 0:
+            total = poly_mul(total, a[c])
+        else:
+            a[p], f[p] = poly_add(poly_mul(a[p], a[c]), [0] + poly_mul(f[p], f[c])), poly_mul(f[p], a[c])
     return total
 
 
@@ -110,57 +106,35 @@ def simple_from_matching_counts(n: int, counts: list[int]) -> bool:
 
 
 def matching_number(g: Graph) -> int:
-    """Size nu of a maximum matching, by greedy leaf matching.
+    """Size nu of a maximum matching of a forest, by greedy leaf matching.
 
     A leaf lies on an edge of some maximum matching together with its one
-    neighbour, in any graph, so matching each leaf to its neighbour,
-    deleting both and dropping isolated vertices until no vertex is left
-    yields a maximum matching (Karp & Sipser, FOCS 1981).  That answer is
-    exact on every forest, and on any graph the greedy gets through; when
-    the vertices left include no leaf they all have degree >= 2, which
-    closes a cycle: DomainError.  Linear time.
+    neighbour, so matching each leaf to its neighbour and deleting both
+    until no edge is left yields a maximum matching (Karp & Sipser, FOCS
+    1981).  Run children first over the spanning forest, the same rule
+    reads: a vertex still free when its subtree is done is a leaf of what
+    is left, so it is matched to its parent if the parent is free.
+    DomainError unless g is a forest.  Linear time.
 
     For a forest, n - 2 nu is the multiplicity of the eigenvalue 0
     (Cvetkovic, Doob & Sachs, Spectra of Graphs), so a forest with
     2 nu < n - 1 has a repeated eigenvalue.
     """
-    nbr: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    deg = [len(ns) for ns in nbr]  # neighbours left; -1 once removed
-    stack = [v for v in range(g.n) if deg[v] <= 1]
-    left = g.n
-    matched = 0
-    while stack:
-        u = stack.pop()
-        if deg[u] < 0:
-            continue
-        isolated = not deg[u]
-        deg[u] = -1
-        left -= 1
-        if isolated:
-            continue
-        for v in nbr[u]:  # the one neighbour u has left
-            if deg[v] >= 0:
-                break
-        deg[v] = -1
-        left -= 1
-        matched += 1
-        for w in nbr[v]:
-            if deg[w] > 0:
-                deg[w] -= 1
-                if deg[w] <= 1:
-                    stack.append(w)
-    if left:
-        raise DomainError("greedy leaf matching needs an acyclic graph")
-    return matched
+    order, parent = _forest(g)
+    free = [True] * g.n
+    nu = 0
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0 and free[v] and free[p]:
+            free[v] = free[p] = False
+            nu += 1
+    return nu
 
 
 def forest_has_perfect_matching(g: Graph) -> bool:
-    """Whether a forest has a perfect matching; DomainError on a cycle the
-    greedy of `matching_number` cannot get past."""
-    return g.n % 2 == 0 and 2 * matching_number(g) == g.n
+    """Whether a forest has a perfect matching, 2 nu = n; DomainError
+    unless g is a forest."""
+    return 2 * matching_number(g) == g.n
 
 
 def near_perfect_vertex(t: Graph) -> int | None:

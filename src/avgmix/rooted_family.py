@@ -232,7 +232,8 @@ def find_t_star(cache_path: str | None = None, threads: int = 1, progress=None) 
     Runs the exhaustive scan (long: ~124k trees) unless a verified cache
     file is present; on success the tree's characteristic polynomial must
     equal the expanded factor product, and the discovered graph6 line is
-    written to the cache.
+    written to the cache through a temporary file and `os.replace`, so an
+    interrupted write never leaves a partial cache behind.
     """
     if cache_path and os.path.exists(cache_path):
         return load_t_star(cache_path)
@@ -241,8 +242,11 @@ def find_t_star(cache_path: str | None = None, threads: int = 1, progress=None) 
     )
     t = confirm_unique_low_rank_tree(hits)
     if cache_path:
-        with open(cache_path, "w", encoding="ascii") as fh:
-            fh.write(write_graph6(t) + "\n")
+        line = write_graph6(t) + "\n"
+        tmp = cache_path + ".tmp"
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(line)
+        os.replace(tmp, cache_path)
     return t
 
 

@@ -75,8 +75,13 @@ def test_delete_and_induced():
 
 def test_components_and_forest():
     g = from_edges(5, [(0, 1), (2, 3)])
-    assert g.components() == [[0, 1], [2, 3], [4]]
+    order, parent = g.spanning_forest()
+    assert sorted(order) == list(range(5))
+    assert [v for v in order if parent[v] == -1] == [0, 2, 4]
+    assert all(order.index(parent[v]) < order.index(v) for v in order if parent[v] != -1)
     assert not g.is_connected()
+    nbr = from_edges(5, [(4, 0), (3, 0), (2, 4), (1, 0)]).neighbors()
+    assert nbr == [[1, 3, 4], [0], [4], [0], [0, 2]]
 
 
 def test_edge_list_roundtrip():

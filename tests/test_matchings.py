@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -75,16 +76,36 @@ def test_matching_number_forests_and_cycles():
     for n in (3, 4, 6):
         with pytest.raises(DomainError):
             matching_number(_cycle(n))
-    # a leaf's pairing is forced in any graph: a triangle with a pendant is matched
-    assert matching_number(from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])) == 2
+    # the domain is forests, also where a leaf's pairing would be forced:
+    # a triangle with a pendant
+    with pytest.raises(DomainError):
+        matching_number(from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)]))
+
+
+def test_matching_routines_share_one_domain():
+    """Over every labelled graph on at most 5 vertices, the greedy raises
+    exactly where the DP raises, and otherwise gives the DP's nu."""
+    forests = 0
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            try:
+                counts = forest_matching_counts(g)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    matching_number(g)
+                continue
+            forests += 1
+            assert matching_number(g) == len(counts) - 1, g.edges
+    assert forests == 1 + 2 + 7 + 38 + 291  # labelled forests on 1..5 vertices
 
 
 def test_perfect_matching():
     assert forest_has_perfect_matching(path(4))
     assert not forest_has_perfect_matching(star(4))
     assert not forest_has_perfect_matching(path(5))
-    # even order and a cycle the greedy cannot get past, also after it drops
-    # two isolated vertices
+    # even order and a cycle, also beside two isolated vertices: not a forest
     for g in (_cycle(4), _cycle(6), from_edges(6, [(2, 3), (3, 4), (4, 5), (5, 2)])):
         with pytest.raises(DomainError):
             forest_has_perfect_matching(g)

@@ -177,3 +177,19 @@ def test_tstar_cache_roundtrip(tstar, tmp_path):
     bad.write_text(w6(path(18)) + "\n")
     with pytest.raises(ConsistencyError):
         load_t_star(str(bad))
+
+
+def test_tstar_cache_is_never_left_partial(tstar_hits, tmp_path, monkeypatch):
+    """A cache write that fails leaves no cache file, so the next run scans
+    again instead of failing on an empty graph6 line."""
+    from avgmix import rooted_family
+
+    def broken(t):
+        raise OSError("write interrupted")
+
+    monkeypatch.setattr(rooted_family, "search_low_rank_simple_trees", lambda *a, **k: tstar_hits)
+    monkeypatch.setattr(rooted_family, "write_graph6", broken)
+    cache = tmp_path / "t_star.g6"
+    with pytest.raises(OSError):
+        rooted_family.find_t_star(str(cache))
+    assert not cache.exists()
