@@ -10,8 +10,10 @@ Free trees are reduced to rooted ones through the centroid:
 
   * one centroid: root there; equivalently, pick a multiset of rooted
     subtrees with sizes summing to n-1, each of size <= floor((n-1)/2);
-  * two centroids (n even): an unordered pair of rooted trees on n/2
-    vertices joined root to root.
+  * two centroids (n even): an unordered pair t1 >= t2 of rooted trees on
+    n/2 vertices joined root to root.  Rooted at the first centroid, with
+    the second as its child, that is the one depth sequence t1 followed by
+    t2 with every depth raised by one.
 
 The two cases are disjoint and cover everything, so each isomorphism class
 appears exactly once.  Output order is deterministic.
@@ -60,13 +62,13 @@ def _forests(total: int, max_size: int, bound: Seq | None) -> Iterator[tuple[Seq
                 yield (t,) + rest
 
 
-def _sequence_to_edges(seq: Seq, offset: int = 0) -> list[tuple[int, int]]:
+def _sequence_to_edges(seq: Seq) -> list[tuple[int, int]]:
     """Edges of the rooted tree encoded by a depth sequence."""
     chain = []  # chain[d] = latest vertex seen at depth d
     edges = []
     for i, d in enumerate(seq):
         if d > 0:
-            edges.append((chain[d - 1] + offset, i + offset))
+            edges.append((chain[d - 1], i))
         if d == len(chain):
             chain.append(i)
         else:
@@ -79,33 +81,22 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     """Yield one representative of every free tree on n vertices.
 
     Deterministic order; the stream may be chunked by index for parallel
-    consumers.
+    consumers.  Orders 1 and 2 need no case of their own: one vertex roots
+    the empty forest, and one edge is the bicentroidal pair of vertices.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n == 1:
-        yield Tree(1, ())
-        return
-    if n == 2:
-        yield Tree(2, ((0, 1),))
-        return
-    cap = (n - 1) // 2
-    for forest in _forests(n - 1, cap, None):
+    for forest in _forests(n - 1, (n - 1) // 2, None):
         seq = [0]
         for sub in forest:
             seq.extend(d + 1 for d in sub)
         yield Tree(n, tuple(_sequence_to_edges(tuple(seq))))
     if n % 2 == 0:
-        half = n // 2
-        halves = _rooted_sequences(half)
+        halves = _rooted_sequences(n // 2)
         for t1 in halves:
             for t2 in halves:
-                if t2 > t1:
-                    continue
-                edges = _sequence_to_edges(t1)
-                edges.extend(_sequence_to_edges(t2, offset=half))
-                edges.append((0, half))
-                yield Tree(n, tuple(edges))
+                if t2 <= t1:
+                    yield Tree(n, tuple(_sequence_to_edges(t1 + tuple(d + 1 for d in t2))))
 
 
 def free_tree_count(n: int) -> int:
@@ -134,8 +125,6 @@ def random_tree(n: int, rng: random.Random) -> Tree:
         raise ValueError(f"n must be positive, got {n}")
     if n == 1:
         return Tree(1, ())
-    if n == 2:
-        return Tree(2, ((0, 1),))
     seq = [rng.randrange(n) for _ in range(n - 2)]
     deg = [1] * n
     for v in seq:

@@ -16,13 +16,14 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from .errors import DomainError
 from .graphs import Graph
 from .polynomials import (
     IntPoly,
     RootSumContext,
+    _adjugate,
     char_poly,
     degree,
     forest_char_poly,
@@ -94,31 +95,13 @@ def _scaled_schur_sum(x: Graph, psi: IntPoly, w_num: IntPoly, w_den: IntPoly):
     return _hankel_form(x, psi, poly_mod_monic_int(poly_mul(w_num, rs.inv_scaled), psi)), rs.denom
 
 
-def _adjugate(x: Graph, p: IntPoly):
-    """Yield B_(d-1) = I, ..., B_0 with B_(m-1) = A B_m + p_m I (Horner) for
-    monic p of degree d: sum_m t^m B_m = (p(t) - p(A))/(t - A), adj(tI - A)
-    for p = phi.  It holds only B_m and the B_(m-1) being built."""
-    n, nbr = x.n, x.neighbors()
-    b = [[int(i == j) for j in range(n)] for i in range(n)]
-    yield b
-    for m in range(degree(p) - 1, 0, -1):
-        nxt = []
-        for i, ws in enumerate(nbr):
-            row = b[ws[0]][:] if ws else [0] * n  # row i of A B sums B's rows at i's neighbours
-            for w in ws[1:]:
-                row = list(map(add, row, b[w]))
-            row[i] += p[m]
-            nxt.append(row)
-        b = nxt
-        yield b
-
-
 def _hankel_form(x: Graph, psi: IntPoly, residue: IntPoly) -> list[list[int]]:
     """Entry (u, v) is sum_theta r(theta) q_theta(A)_uv^2 for the integer
     residue r, that is b^T H b: H_ij = mu_(i+j), the moments mu_m =
     sum_theta theta^m r(theta) = sum_k r_k s_(m+k) from the power sums s of
     psi, and b_m = (B_m)_uv, the coefficient of theta^m in q_theta(A)_uv,
-    from the Horner recurrence `_adjugate(x, psi)`."""
+    from the Horner recurrence `polynomials._adjugate(x, psi)`, which
+    `char_poly` also runs."""
     d = degree(psi)
     s = power_sums(psi, 2 * d - 2 + len(residue))
     moments = [sum(map(mul, residue, s[m:])) for m in range(2 * d - 1)]
@@ -234,8 +217,9 @@ def kernel_exact(mat) -> list[list[Fraction]]:
 def coefficient_matrix(x: Graph, phi: IntPoly | None = None) -> list[list[int]]:
     """Row u holds the coefficients of char_poly(X - u), entry (u, u) of
     adj(tI - A) by Cramer's rule; column r holds the coefficient of t^r, the
-    diagonal of the adjugate's coefficient B_r from `_adjugate(x, phi)`, with
-    `phi`, x's characteristic polynomial, computed when not given."""
+    diagonal of the adjugate's coefficient B_r from the Horner recurrence
+    `polynomials._adjugate(x, phi)`, with `phi`, x's characteristic
+    polynomial, computed when not given."""
     if x.n < 2:
         raise DomainError("coefficient matrix needs at least two vertices")
     adj = _adjugate(x, _phi(x) if phi is None else phi)

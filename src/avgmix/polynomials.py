@@ -4,18 +4,22 @@ Polynomials are plain lists of coefficients in ascending degree order with
 no trailing zeros; the empty list is the zero polynomial.  IntPoly entries
 are Python ints, RatPoly entries are fractions.Fraction (ints mix freely).
 
-Besides the arithmetic toolkit this module houses the characteristic
-polynomial (Faddeev-LeVerrier over exact integers), the characteristic
-polynomial of a forest assembled from its matching counts (the one rooted
-forest recurrence lives in `matchings`), squarefree analysis through
-primitive pseudo-remainder sequences, and summation of a rational function
-over the roots of a squarefree polynomial via Newton power sums.
+Besides the arithmetic toolkit this module houses the one Horner
+recurrence of a graph's adjacency matrix, whose matrices give adj(tI - A)
+(`exact` reads the coefficient matrix and the Hankel form off them);
+Faddeev-LeVerrier, which is that recurrence with the characteristic
+polynomial's coefficients read off traces; the characteristic polynomial of
+a forest from its matching counts (the one rooted forest recurrence lives
+in `matchings` and shares no code with the Horner one); squarefree analysis
+through primitive pseudo-remainder sequences; and summation of a rational
+function over the roots of a squarefree polynomial via Newton power sums.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 from .errors import ConsistencyError, DomainError
 from .graph6 import write_graph6
@@ -186,7 +190,7 @@ def _poly_gcd_degree_modp(a: IntPoly, b: IntPoly, p: int) -> int:
     a = normalize([c % p for c in a])
     b = normalize([c % p for c in b])
     while b:
-        inv = pow(b[-1], p - 2, p)
+        inv = pow(b[-1], -1, p)
         db = degree(b)
         r = list(a)
         while len(r) - 1 >= db and r:
@@ -240,41 +244,49 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 # characteristic polynomials
 
 
-def char_poly(x: Graph) -> IntPoly:
-    """Monic characteristic polynomial det(tI - A) by Faddeev-LeVerrier.
+def _adjugate(x: Graph, p: IntPoly):
+    """Yield B_(d-1) = I, ..., B_0 with B_(m-1) = A B_m + p_m I (Horner) for
+    monic p of degree d: sum_m t^m B_m = (p(t) - p(A))/(t - A), adj(tI - A)
+    for p = phi.  It holds only B_m and the B_(m-1) being built, and reads
+    p_m only after it has yielded B_m, so a caller may fill p in as the
+    recurrence runs."""
+    n, nbr = x.n, x.neighbors()
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    yield b
+    for m in range(degree(p) - 1, 0, -1):
+        nxt = []
+        for i, ws in enumerate(nbr):
+            row = b[ws[0]][:] if ws else [0] * n  # row i of A B sums B's rows at i's neighbours
+            for w in ws[1:]:
+                row = list(map(add, row, b[w]))
+            row[i] += p[m]
+            nxt.append(row)
+        b = nxt
+        yield b
 
-    The recurrence runs entirely over the integers; each trace division is
-    checked to be exact, and the final Cayley-Hamilton identity B_n = 0 is
-    checked; a failure raises ConsistencyError with the graph's graph6.
+
+def char_poly(x: Graph) -> IntPoly:
+    """Monic characteristic polynomial phi = det(tI - A) by Faddeev-LeVerrier.
+
+    `_adjugate(x, q)` on q = t phi, filled in as it runs: its k-th matrix is
+    B_(n-k) of adj(tI - A), and phi_(n-k) = -tr(A B_(n-k))/k with tr(A B) =
+    2 sum over edges (u, v) of B_uv.  Each trace division must be exact and
+    the last matrix, phi(A), zero (Cayley-Hamilton); a failure raises
+    ConsistencyError with the graph's graph6.
     """
     n = x.n
-    nbr = x.neighbors()
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        # m = A @ b, using adjacency lists: row i sums the rows of b at i's neighbors
-        m = []
-        for i in range(n):
-            row = [0] * n
-            for w in nbr[i]:
-                bw = b[w]
-                for j in range(n):
-                    row[j] += bw[j]
-            m.append(row)
-        tr = sum(m[i][i] for i in range(n))
+    q = [0] * (n + 1) + [1]
+    adj = _adjugate(x, q)
+    for k, b in zip(range(1, n + 1), adj):  # zip stops before asking adj for phi(A)
+        tr = 2 * sum(b[u][v] for u, v in x.edges)
         if tr % k:
             raise ConsistencyError(
                 "Faddeev-LeVerrier trace division not exact", [write_graph6(x)],
             )
-        ck = -(tr // k)
-        coeffs[n - k] = ck
-        for i in range(n):
-            m[i][i] += ck
-        b = m
-    if any(b[i][j] for i in range(n) for j in range(n)):
+        q[n + 1 - k] = -(tr // k)
+    if any(map(any, next(adj))):
         raise ConsistencyError("Cayley-Hamilton check failed", [write_graph6(x)])
-    return coeffs
+    return q[1:]
 
 
 def forest_char_poly(x: Graph) -> IntPoly:

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from avgmix.enumeration import enumerate_trees, free_tree_count, random_tree
+from avgmix.graph6 import parse_graph6, write_graph6
 from avgmix.graphs import Tree
 from avgmix.reference_data import REFERENCE_RANK_TABLE
 
@@ -69,6 +71,15 @@ def test_deterministic_order_and_index_partitioning():
     shard_a = [t.edges for i, t in enumerate(enumerate_trees(9)) if i < mid]
     shard_b = [t.edges for i, t in enumerate(enumerate_trees(9)) if i >= mid]
     assert shard_a + shard_b == first
+    # the order itself is frozen: the stream of orders 1..14 as graph6 lines,
+    # and the index of the order-18 tree t* on which the benchmark's scan
+    # window and the order-18 sample depend
+    stream = "\n".join(write_graph6(t) for n in range(1, 15) for t in enumerate_trees(n))
+    assert hashlib.sha256(stream.encode()).hexdigest() == (
+        "b2f2c495d1c5678cb63db6cc57a984f0eb9c0e5ba7e1a9056075fd3bb809c22d"
+    )
+    tstar = parse_graph6("QhD?I?@_??_@?@_???G?@??E???").edges
+    assert next(i for i, t in enumerate(enumerate_trees(18)) if t.edges == tstar) == 33_973
 
 
 def test_rejects_nonpositive():

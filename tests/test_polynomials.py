@@ -8,6 +8,7 @@ import avgmix.polynomials as polynomials_module
 from avgmix.enumeration import enumerate_trees, random_tree
 from avgmix.errors import ConsistencyError, DomainError
 from avgmix.exact import coefficient_matrix
+from avgmix.graph6 import write_graph6
 from avgmix.graphs import from_edges, path, rooted_product_k2, star
 from avgmix.polynomials import (
     char_poly,
@@ -43,10 +44,70 @@ def test_char_poly_is_monic_degree_n():
         assert len(p) == t.n + 1 and p[-1] == 1
 
 
+def _product(*factors):
+    out = [1]
+    for f, power in factors:
+        for _ in range(power):
+            out = poly_mul(out, f)
+    return out
+
+
 def test_char_poly_on_a_cycle():
     # C4: t^4 - 4t^2; eigenvalues 2, 0, 0, -2
     c4 = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert char_poly(c4) == [0, 0, -4, 0, 1]
+    # graphs with cycles, disconnected and edgeless ones against their
+    # closed-form spectra, a reference shared with neither the matching DP
+    # nor Faddeev-LeVerrier
+    c5 = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    k4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    k23 = from_edges(5, [(i, j) for i in range(2) for j in range(2, 5)])
+    petersen = from_edges(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(i + 5, (i + 2) % 5 + 5) for i in range(5)],
+    )
+    two_triangles = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    empty4 = from_edges(4, [])
+    for g, factors in (
+        (c5, (([-2, 1], 1), ([-1, 1, 1], 2))),
+        (k4, (([-3, 1], 1), ([1, 1], 3))),
+        (k23, (([0, 1], 3), ([-6, 0, 1], 1))),
+        (petersen, (([-3, 1], 1), ([-1, 1], 5), ([2, 1], 4))),
+        (two_triangles, (([-2, 1], 2), ([1, 1], 4))),
+        (empty4, (([0, 1], 4),)),
+    ):
+        assert char_poly(g) == _product(*factors), g.edges
+
+
+def _perturbed_adjugate(monkeypatch, at: int, u: int, v: int):
+    """Let polynomials._adjugate add 1 to entry (u, v) of its at-th matrix."""
+    adjugate = polynomials_module._adjugate
+
+    def perturbed(x, p):
+        for k, b in enumerate(adjugate(x, p), 1):
+            if k == at:
+                b[u][v] += 1
+            yield b
+
+    monkeypatch.setattr(polynomials_module, "_adjugate", perturbed)
+
+
+def test_char_poly_checks_catch_a_broken_recurrence(monkeypatch):
+    c5 = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    g6 = write_graph6(c5)
+    # one more at edge (0, 1) of B_(n-3) adds 2 to tr(A B_(n-3)), which 3 must divide
+    _perturbed_adjugate(monkeypatch, 3, 0, 1)
+    with pytest.raises(ConsistencyError, match="trace division not exact") as caught:
+        char_poly(c5)
+    assert caught.value.certificates == [g6]
+    # the last of the n + 1 matrices is phi(A), which must vanish
+    monkeypatch.undo()
+    _perturbed_adjugate(monkeypatch, c5.n + 1, 0, 0)
+    with pytest.raises(ConsistencyError, match="Cayley-Hamilton") as caught:
+        char_poly(c5)
+    assert caught.value.certificates == [g6]
 
 
 def test_forest_char_poly_examples():
