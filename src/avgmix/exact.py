@@ -8,7 +8,8 @@ coefficients of q_theta(A)_uv.  One assembly builds it from 2d-1 moments
 sum_theta theta^m r(theta), each the weight residue r convolved with the
 integer Newton power sums of psi, never touching a root numerically.  For
 the rank alone r = 1 (weight psi'^2); for the matrix r = D w/(psi'^2)
-mod psi over one common integer denominator D.  Both rank on integers.
+mod psi over one common integer denominator D, from an integer extended
+Euclid.  Both rank on integers.
 """
 from __future__ import annotations
 
@@ -22,13 +23,13 @@ from .errors import DomainError
 from .graphs import Graph
 from .polynomials import (
     IntPoly,
-    RootSumContext,
     _adjugate,
     char_poly,
     degree,
     forest_char_poly,
     is_squarefree,
     poly_derivative,
+    poly_inverse_mod_int,
     poly_mod_monic_int,
     poly_mul,
     power_sums,
@@ -89,10 +90,11 @@ def amm_rank(x: Graph, phi: IntPoly | None = None) -> int:
 def _scaled_schur_sum(x: Graph, psi: IntPoly, w_num: IntPoly, w_den: IntPoly):
     """(S, D): S = D * sum_theta w(theta) E_theta o E_theta is an integer matrix,
     the Hankel form of the residue r = D w_num / (w_den psi'^2) mod psi, an
-    integer polynomial over RootSumContext's one denominator D."""
+    integer polynomial over the one denominator D of the inverse of
+    w_den psi'^2 modulo psi."""
     dpsi = poly_derivative(psi)
-    rs = RootSumContext(psi, poly_mod_monic_int(poly_mul(w_den, poly_mul(dpsi, dpsi)), psi))
-    return _hankel_form(x, psi, poly_mod_monic_int(poly_mul(w_num, rs.inv_scaled), psi)), rs.denom
+    inv, denom = poly_inverse_mod_int(poly_mul(w_den, poly_mul(dpsi, dpsi)), psi)
+    return _hankel_form(x, psi, poly_mod_monic_int(poly_mul(w_num, inv), psi)), denom
 
 
 def _hankel_form(x: Graph, psi: IntPoly, residue: IntPoly) -> list[list[int]]:

@@ -1,8 +1,8 @@
-"""Dense univariate polynomial arithmetic over exact integers and rationals.
+"""Dense univariate polynomial arithmetic over exact integers.
 
 Polynomials are plain lists of coefficients in ascending degree order with
 no trailing zeros; the empty list is the zero polynomial.  IntPoly entries
-are Python ints, RatPoly entries are fractions.Fraction (ints mix freely).
+are Python ints; only the text reader and a root sum give fractions.
 
 Besides the arithmetic toolkit this module houses the one Horner
 recurrence of a graph's adjacency matrix, whose matrices give adj(tI - A)
@@ -10,9 +10,11 @@ recurrence of a graph's adjacency matrix, whose matrices give adj(tI - A)
 Faddeev-LeVerrier, which is that recurrence with the characteristic
 polynomial's coefficients read off traces; the characteristic polynomial of
 a forest from its matching counts (the one rooted forest recurrence lives
-in `matchings` and shares no code with the Horner one); squarefree analysis
-through primitive pseudo-remainder sequences; and summation of a rational
-function over the roots of a squarefree polynomial via Newton power sums.
+in `matchings` and shares no code with the Horner one); one integer
+pseudo-division, whose primitive pseudo-remainder sequence gives the gcd,
+the squarefree part and, carrying a cofactor, the inverse modulo psi over
+one integer denominator; and summation of a rational function over the
+roots of a squarefree polynomial via Newton power sums.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .graph6 import write_graph6
 from .graphs import Graph
 
 IntPoly = list[int]
-RatPoly = list[Fraction]
 
 _FAST_GCD_PRIME = (1 << 61) - 1  # Mersenne prime, used for a one-sided squarefree test
 
@@ -92,29 +93,6 @@ def poly_eval(a, x):
     return acc
 
 
-def poly_divmod(a, b):
-    """Quotient and remainder over the rationals."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in a]
-    normalize(r)
-    db = degree(b)
-    lb = Fraction(b[-1])
-    q = [Fraction(0)] * max(0, len(r) - db)
-    while len(r) - 1 >= db and r:
-        c = r[-1] / lb
-        off = len(r) - 1 - db
-        q[off] = c
-        for j in range(db + 1):
-            r[off + j] -= c * b[j]
-        normalize(r)
-    return normalize(q), r
-
-
-def poly_mod(a, b):
-    return poly_divmod(a, b)[1]
-
-
 def poly_mod_monic_int(a: IntPoly, m: IntPoly) -> IntPoly:
     """Remainder of an integer polynomial modulo a monic integer polynomial."""
     r = list(a)
@@ -146,22 +124,21 @@ def poly_primitive(a: IntPoly) -> IntPoly:
     return [c // g for c in a]
 
 
-def poly_pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """prem(a, b): lc(b)^(deg a - deg b + 1) * a reduced mod b, all over the integers."""
-    da, db = degree(a), degree(b)
-    lb = b[-1]
+def poly_pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """(q, r) with lc(b)^k a = q b + r, deg r < deg b and k = max(deg a - deg b + 1, 0),
+    all over the integers (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R)."""
+    db, lb = degree(b), b[-1]
     r = list(a)
-    for _ in range(da - db + 1):
-        if degree(r) < db:
-            r = [lb * x for x in r]
-            continue
-        lead = r[-1]
-        r = [lb * x for x in r]
-        off = degree(r) - db
-        for j in range(db + 1):
-            r[off + j] -= lead * b[j]
-        normalize(r)
-    return normalize(r)
+    q = [0] * max(len(a) - db, 0)
+    for i in reversed(range(len(q))):
+        lead = r.pop()  # lb * lead - lead * lb cancels the top term
+        if lb != 1:
+            r = [lb * c for c in r]
+        q[i] = lead * lb**i  # the i steps still to come scale it by lb each
+        if lead:
+            for j in range(db):
+                r[i + j] -= lead * b[j]
+    return normalize(q), normalize(r)
 
 
 def poly_gcd_int(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -180,9 +157,38 @@ def poly_gcd_int(a: IntPoly, b: IntPoly) -> IntPoly:
     if degree(a) < degree(b):
         a, b = b, a
     while b:
-        r = poly_pseudo_rem(a, b)
-        a, b = b, poly_primitive(r)
+        a, b = b, poly_primitive(poly_pseudo_divmod(a, b)[1])
     return poly_scale(a, cont)
+
+
+def poly_inverse_mod_int(f: IntPoly, psi: IntPoly) -> tuple[IntPoly, int]:
+    """(u, D) with u f = D (mod psi), D > 0, gcd(D, content u) = 1 and
+    deg u < deg psi: the inverse of f modulo a monic psi is u/D.
+
+    The extended form of `poly_gcd_int`'s pseudo-remainder sequence.  Each
+    remainder r = lc^k r0 - q r1 carries the cofactor t = lc^k t0 - q t1, so
+    t f = r (mod psi) throughout, and the pair is divided by its joint
+    content.  As in the extended Euclid over the rationals, a cofactor's
+    degree is deg psi minus that of the remainder before its own, below
+    deg psi, so no cofactor needs reducing.  DomainError when f and psi
+    share a root.
+    """
+    if degree(psi) < 1 or psi[-1] != 1:
+        raise DomainError("modulus must be monic of positive degree")
+    r0, r1 = psi, poly_mod_monic_int(f, psi)
+    t0, t1 = [], [1]
+    while degree(r1) > 0:
+        q, r = poly_pseudo_divmod(r0, r1)
+        t = poly_sub(poly_scale(t0, r1[-1] ** (len(r0) - len(r1) + 1)), poly_mul(q, t1))
+        g = math.gcd(poly_content(r), poly_content(t))
+        r0, r1 = r1, [c // g for c in r]
+        t0, t1 = t1, [c // g for c in t]
+    if not r1:
+        raise DomainError("polynomial is not invertible modulo the given modulus")
+    g = math.gcd(r1[0], poly_content(t1))
+    if r1[0] < 0:
+        g = -g
+    return [c // g for c in t1], r1[0] // g
 
 
 def _poly_gcd_degree_modp(a: IntPoly, b: IntPoly, p: int) -> int:
@@ -226,18 +232,10 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     """p / gcd(p, p'), primitive with positive leading coefficient."""
     if not p:
         raise DomainError("zero polynomial has no squarefree part")
-    if degree(p) == 0:
-        return [1]
-    g = poly_gcd_int(p, poly_derivative(p))
-    if degree(g) == 0:
-        return poly_primitive(p)
-    q, r = poly_divmod(poly_primitive(p), g)
+    q, r = poly_pseudo_divmod(poly_primitive(p), poly_gcd_int(p, poly_derivative(p)))
     if r:
         raise ConsistencyError(f"gcd failed to divide its argument: {poly_to_text(p)}")
-    out = [int(c) for c in q]
-    if any(Fraction(c) != qc for c, qc in zip(out, q)):
-        raise ConsistencyError(f"squarefree part is not integral: {poly_to_text(p)}")
-    return poly_primitive(out)
+    return poly_primitive(q)
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +304,17 @@ def forest_char_poly(x: Graph) -> IntPoly:
 # sums over the roots of a squarefree polynomial
 
 
-def power_sums(psi, count: int | None = None) -> list:
-    """Power sums p_0..p_{count-1} of the roots of psi via Newton's identities.
-
-    psi must be monic (after exact normalization it always can be); integer
-    input gives integer output.
-    """
+def power_sums(psi: IntPoly, count: int | None = None) -> IntPoly:
+    """Power sums p_0..p_{count-1} of the roots of monic integer psi via
+    Newton's identities; count defaults to max(deg psi, 1)."""
     d = degree(psi)
     if d < 0:
         raise DomainError("zero polynomial")
-    lead = psi[-1]
-    if lead != 1:
-        psi = [Fraction(c, lead) for c in psi]
+    if psi[-1] != 1:
+        raise DomainError("power sums need a monic polynomial")
     if count is None:
         count = max(d, 1)
-    ps = [d]
+    ps = [d] if count else []
     for k in range(1, count):
         acc = -k * psi[d - k] if k <= d else 0
         for i in range(1, min(k, d + 1)):
@@ -329,57 +323,41 @@ def power_sums(psi, count: int | None = None) -> list:
     return ps
 
 
-def poly_inverse_mod(f, m) -> RatPoly:
-    """Inverse of f modulo m over the rationals, via the extended Euclid scheme."""
-    if degree(m) < 1:
-        raise DomainError("modulus must have positive degree")
-    r0 = [Fraction(c) for c in m]
-    r1 = poly_mod(f, m)
-    t0: RatPoly = []
-    t1: RatPoly = [Fraction(1)]
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1))
-    if degree(r0) != 0:
-        raise DomainError("polynomial is not invertible modulo the given modulus")
-    inv_lead = 1 / Fraction(r0[0])
-    return poly_mod(poly_scale(t0, inv_lead), m)
-
-
-def trace_over_roots(num, den, psi: IntPoly) -> Fraction:
+def trace_over_roots(num: IntPoly, den: IntPoly, psi: IntPoly) -> Fraction:
     """Sum of num(theta)/den(theta) over the roots theta of squarefree psi.
 
-    One RootSumContext query against the monic form of psi: no root is
-    ever computed.
+    One RootSumContext query, no root ever computed.  psi, made primitive
+    with leading coefficient c and degree d, becomes the monic integer
+    c^(d-1) psi(y/c), whose roots are y = c theta, and num and den are
+    rewritten in y over the common factor c^e, e the larger of their degrees.
     """
     if not is_squarefree(psi):
         raise DomainError("psi must be squarefree")
     if degree(psi) == 0:
         return Fraction(0)
-    monic = [Fraction(c, psi[-1]) for c in psi]
+    psi = poly_primitive(psi)
+    c, d = psi[-1], degree(psi)
+    e = max(degree(num), degree(den))
+    monic = [a * c ** (d - 1 - i) for i, a in enumerate(psi[:-1])] + [1]
+    num, den = ([a * c ** (e - i) for i, a in enumerate(p)] for p in (num, den))
     return RootSumContext(monic, den).sum_ratio(num)
 
 
 class RootSumContext:
-    """Exact root sums against one denominator over a squarefree monic modulus.
+    """Exact root sums against one denominator over a squarefree monic modulus,
+    the reference that `trace_over_roots` evaluates.
 
-    Precomputes the Newton power sums of psi and the inverse of the
-    denominator modulo psi, stored as the integer polynomial `inv_scaled`
-    over one common denominator `denom`, so that each query
+    Holds the Newton power sums of psi and the inverse of the weight modulo
+    psi as `poly_inverse_mod_int` gives it, the integer polynomial
+    `inv_scaled` over the integer `denom`, so that each query
         sum over roots of  num(theta) / weight(theta)
     costs only polynomial multiplication and reduction.
     """
 
     def __init__(self, psi: IntPoly, weight: IntPoly):
-        if not psi or psi[-1] != 1:
-            raise DomainError("context modulus must be monic")
         self.psi = psi
         self.powers = power_sums(psi)
-        inv = poly_inverse_mod(weight, psi)
-        denom = math.lcm(*(c.denominator for c in inv)) if inv else 1
-        self.inv_scaled = [int(c * denom) for c in inv]
-        self.denom = denom
+        self.inv_scaled, self.denom = poly_inverse_mod_int(weight, psi)
 
     def sum_ratio(self, num: IntPoly) -> Fraction:
         s = poly_mod_monic_int(num, self.psi)
@@ -399,7 +377,7 @@ def poly_to_text(p) -> str:
     return " ".join(str(c) for c in p)
 
 
-def poly_from_text(text: str) -> RatPoly:
+def poly_from_text(text: str) -> list[Fraction]:
     parts = text.split()
     if parts == ["0"] or not parts:
         return []

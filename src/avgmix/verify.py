@@ -12,6 +12,7 @@ sweep the same invariants over ranges the suites cover.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import time
 from fractions import Fraction
@@ -55,6 +56,8 @@ from .polynomials import (
     poly_add,
     poly_derivative,
     poly_eval,
+    poly_inverse_mod_int,
+    poly_mod_monic_int,
     poly_mul,
     power_sums,
     squarefree_part,
@@ -101,18 +104,27 @@ def suite_identities(r: _Runner, n_max: int):
             bad += 1
     r.check("char_poly == matching polynomial on 1000 random trees, n<=16", bad == 0, f"{bad} bad")
 
-    bad_rows = bad = 0
+    bad_rows = bad = bad_inv = 0
     for n in range(2, n_max + 1):
         for t in enumerate_trees(n):
+            phi = char_poly(t)
             rows = coefficient_matrix(t)
             bad_rows += sum(row != char_poly(t.delete_vertex(u)) for u, row in enumerate(rows))
             total = []
             for p in rows:
                 total = poly_add(total, p)
-            if total != poly_derivative(char_poly(t)):
+            if total != poly_derivative(phi):
                 bad += 1
+            psi = squarefree_part(phi)
+            dpsi_sq = poly_mul(poly_derivative(psi), poly_derivative(psi))
+            for w in (dpsi_sq, poly_mul([4, 0, 1], dpsi_sq)):
+                u, denom = poly_inverse_mod_int(w, psi)
+                ok = poly_mod_monic_int(poly_mul(u, w), psi) == [denom] and len(u) < len(psi)
+                bad_inv += not (ok and denom > 0 and math.gcd(denom, *u) == 1)
     r.check(f"coefficient row u == char_poly(T - u), trees n<={n_max}", bad_rows == 0, f"{bad_rows} bad")
     r.check(f"sum of deleted char polys == derivative, trees n<={n_max}", bad == 0)
+    r.check(f"inverse u/D of psi'^2 and (t^2+4) psi'^2 mod psi: u w = D, deg u < deg psi, "
+            f"D > 0, gcd(D, content u) = 1, trees n<={n_max}", bad_inv == 0, f"{bad_inv} bad")
 
     bad = 0
     for _ in range(50):

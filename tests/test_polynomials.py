@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,11 +17,11 @@ from avgmix.polynomials import (
     is_squarefree,
     poly_add,
     poly_derivative,
-    poly_divmod,
     poly_eval,
     poly_from_text,
     poly_gcd_int,
-    poly_inverse_mod,
+    poly_inverse_mod_int,
+    poly_mod_monic_int,
     poly_mul,
     poly_to_text,
     power_sums,
@@ -163,6 +164,10 @@ def test_squarefree_examples():
     assert is_squarefree([1, 0, -3, 0, 1])
     assert squarefree_part([1, 0, -3, 0, 1]) == [1, 0, -3, 0, 1]
     assert squarefree_part([0, 0, 1]) == [0, 1]
+    # (2t - 1)^2 (t + 3): the gcd 2t - 1 is not monic
+    assert squarefree_part(_product(([-1, 2], 2), ([3, 1], 1))) == [-3, 5, 2]
+    # gcd(6t^2, 12t) = 6t keeps the content; the squarefree part drops it
+    assert squarefree_part([0, 0, 6]) == [0, 1]
     with pytest.raises(DomainError):
         squarefree_part([])
 
@@ -179,6 +184,10 @@ def test_trace_over_roots_examples():
     # psi = t^2 - t - 1: sum of 1/(theta+5) = (e1 + 10)/(e2 + 5 e1 + 25) = 11/29
     assert trace_over_roots([1], [5, 1], [-1, -1, 1]) == Fraction(11, 29)
     assert trace_over_roots([0, 1], [1], [-1, -1, 1]) == 1
+    # non-monic psi: roots 1/2; +-1/sqrt(2); the roots of 6t^2 + t - 1
+    assert trace_over_roots([0, 1], [1], [-1, 2]) == Fraction(1, 2)
+    assert trace_over_roots([0, 0, 1], [1], [-1, 0, 2]) == 1
+    assert trace_over_roots([1], [5, 1], [-1, 1, 6]) == Fraction(59, 144)
 
 
 def test_trace_over_roots_errors():
@@ -197,6 +206,9 @@ def test_trace_over_roots_newton_property():
         ps = power_sums(psi)
         for k in range(len(ps)):
             assert trace_over_roots([0] * k + [1], [1], psi) == ps[k]
+        assert power_sums(psi, 0) == []
+    with pytest.raises(DomainError):
+        power_sums([-1, 2])  # not monic
 
 
 def test_trace_over_roots_scaling_invariance():
@@ -222,13 +234,34 @@ def test_trace_over_roots_float_oracle():
         done += 1
 
 
-def test_poly_inverse_mod():
-    psi = [Fraction(c) for c in [-1, -1, 1]]
-    inv = poly_inverse_mod([Fraction(5), Fraction(1)], psi)
-    prod, rem = poly_divmod(poly_mul(inv, [5, 1]), psi)
-    assert rem == [Fraction(1)]
+def _inverse(f, psi):
+    """poly_inverse_mod_int(f, psi), checked by multiplying back."""
+    u, denom = poly_inverse_mod_int(f, psi)
+    assert poly_mod_monic_int(poly_mul(u, f), psi) == [denom]
+    assert denom > 0 and math.gcd(denom, *u) == 1 and len(u) < len(psi)
+    return u, denom
+
+
+def test_poly_inverse_mod(tstar):
+    # t + 5 mod t^2 - t - 1: (t + 5)(6 - t) = 30 + t - t^2 = 29
+    assert _inverse([5, 1], [-1, -1, 1]) == ([6, -1], 29)
     with pytest.raises(DomainError):
-        poly_inverse_mod([-1, 1], [-1, 0, 1])
+        poly_inverse_mod_int([-1, 1], [-1, 0, 1])
+    with pytest.raises(DomainError):  # a weight that vanishes mod psi
+        poly_inverse_mod_int([-2, -1, 2, 1], [-1, 0, 1])  # (t + 2)(t^2 - 1)
+    # the single vertex and the empty graph on 4 vertices: psi = t
+    for g in (path(1), from_edges(4, [])):
+        psi = squarefree_part(char_poly(g))
+        assert psi == [0, 1]
+        assert _inverse([1], psi) == ([1], 1)
+        assert _inverse([4, 0, 1], psi) == ([1], 4)
+    # psi'^2 and (t^2 + 4) psi'^2, the weights the exact assembly inverts,
+    # for t* and family member 1: non-monic remainders, big integers
+    for g in (tstar, rooted_product_k2(tstar)):
+        psi = squarefree_part(char_poly(g))
+        dpsi = poly_derivative(psi)
+        for w in ([1], [4, 0, 1]):
+            _inverse(poly_mul(w, poly_mul(dpsi, dpsi)), psi)
 
 
 def test_forest_char_poly_multiplies_components():
