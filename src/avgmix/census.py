@@ -16,7 +16,10 @@ Methods:
   exact      rank and simplicity from the exact average mixing matrix;
   coeff-fast one matching DP per tree decides simplicity and gives phi for
              the integer coefficient matrix of simple trees (the two ranks
-             agree for simple spectra) and for `amm_rank` otherwise;
+             agree for simple spectra) and for `amm_rank` otherwise, which
+             generalises that shortcut: adjugate diagonals modulo the
+             simple eigenvalues' polynomial, beside a Hankel form over the
+             repeated eigenvalues only;
   float      numeric rank of the floating average mixing matrix, simplicity
              from eigenvalue clustering.
 """

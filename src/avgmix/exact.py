@@ -4,12 +4,16 @@ Everything here stays in exact arithmetic.  With psi (degree d) the
 squarefree part of the characteristic polynomial of A, a weighted sum
 sum_theta w(theta) E_theta o E_theta, E_theta = q_theta(A)/psi'(theta) and
 q_theta(x) = psi(x)/(x - theta), has entry (u, v) a Hankel form in the
-coefficients of q_theta(A)_uv.  One assembly builds it from 2d-1 moments
-sum_theta theta^m r(theta), each the weight residue r convolved with the
-integer Newton power sums of psi, never touching a root numerically.  For
-the rank alone r = 1 (weight psi'^2); for the matrix r = D w/(psi'^2)
-mod psi over one common integer denominator D, from an integer extended
-Euclid.  Both rank on integers.
+coefficients of q_theta(A)_uv.  One assembly builds it over the roots of a
+monic factor f of psi, from 2 deg f - 1 moments sum_theta theta^m
+r(theta), each the weight residue r convolved with the integer Newton
+power sums of f, never touching a root numerically.  The matrix takes
+f = psi and r = D w/(psi'^2) mod psi over one common integer denominator
+D, from an integer extended Euclid.  The rank needs no weights: the
+simple eigenvalues contribute only the diagonals of the adjugate's
+coefficients, reduced modulo the polynomial of the simple roots, and the
+repeated ones the assembly with r = 1 over f, the polynomial of the
+repeated roots (`amm_rank`).  Both rank on integers.
 """
 from __future__ import annotations
 
@@ -29,9 +33,11 @@ from .polynomials import (
     forest_char_poly,
     is_squarefree,
     poly_derivative,
+    poly_gcd_int,
     poly_inverse_mod_int,
     poly_mod_monic_int,
     poly_mul,
+    poly_pseudo_divmod,
     power_sums,
     squarefree_part,
 )
@@ -71,20 +77,55 @@ def average_mixing_exact(x: Graph) -> AmmResult:
 
 
 def amm_rank(x: Graph, phi: IntPoly | None = None) -> int:
-    """Rank of the average mixing matrix of any graph, in integers only;
+    """Rank of the average mixing matrix M of any graph, in integers only;
     `phi`, x's characteristic polynomial, is computed when not given.
 
-    1. Each E_theta o E_theta is PSD (Schur product theorem).
-    2. So ker sum_theta w_theta E_theta o E_theta = intersection over theta of
-       ker E_theta o E_theta, for every choice of positive weights w_theta.
-    3. w_theta = psi'(theta)^2 > 0, since psi is squarefree with real roots.
-       It turns E_theta into q_theta(A), so entry (u, v) is the Hankel form
-       of the power sums s_m of psi, integers as psi is monic (a primitive
-       factor of the monic characteristic polynomial).
-    4. Only the real symmetry of A was used, so this holds for any graph.
+    Statement.  Let psi = squarefree_part(phi), of degree d; f = gcd(psi,
+    phi/psi), whose roots are the repeated eigenvalues; and psi_s = psi/f,
+    whose roots are the simple ones.  Both divide the monic phi, so both are
+    monic integer polynomials (Gauss's lemma).  One Horner run,
+    `_adjugate(x, psi)`, gives B_0..B_(d-1) with q_theta(A) = sum_m theta^m
+    B_m = psi'(theta) E_theta.  Then
+
+        rank M = rank [D | S],
+
+    where row u of D is (sum_m (B_m)_uu t^m) mod psi_s and S = sum over the
+    roots theta of f of q_theta(A) o q_theta(A).
+
+    Proof.
+    1. M = sum_theta E_theta o E_theta is a sum of PSD matrices (Schur
+       product theorem), so its column space is the sum of theirs, and
+       positive weights on the terms do not change it.
+    2. A simple theta has E_theta = x x^T (Godsil, Algebraic Combinatorics,
+       ch. 4), so the column space of E_theta o E_theta is span{x o x} =
+       span{diag q_theta(A)}.  As psi_s(theta) = 0, diag q_theta(A) =
+       D (1, theta, theta^2, ...)^T; over the roots of psi_s these vectors
+       span the column space of D V, V their invertible Vandermonde matrix,
+       which is that of D.
+    3. S = sum psi'(theta)^2 E_theta o E_theta over the repeated theta, with
+       psi'(theta) != 0 as psi is squarefree.  Its entry (u, v) is
+       sum_theta b(theta)^2 for b = sum_m (B_m)_uv t^m mod f: the Hankel form
+       of f's power sums, integers as f is monic (`_hankel_form`).
+    4. A rational matrix has the same rank over R as over Q.  Only the real
+       symmetry of A was used, so this holds for any graph.
+
+    With f = 1 (all eigenvalues distinct) S is empty and D is the
+    coefficient matrix: the paper's rank M = rank C.
     """
-    psi = squarefree_part(_phi(x) if phi is None else phi)
-    return exact_rank(_hankel_form(x, psi, [1]))
+    phi = _phi(x) if phi is None else phi
+    psi = squarefree_part(phi)
+    f = poly_gcd_int(psi, poly_pseudo_divmod(phi, psi)[0])
+    psi_s = poly_pseudo_divmod(psi, f)[0]
+    powers = list(_adjugate(x, psi))[::-1]
+    ds = degree(psi_s)
+    rows = []
+    for u in range(x.n):
+        row = poly_mod_monic_int([bm[u][u] for bm in powers], psi_s)
+        rows.append(row + [0] * (ds - len(row)))
+    if degree(f):
+        for row, s_row in zip(rows, _hankel_form(powers, f, [1])):
+            row += s_row
+    return exact_rank(rows)
 
 
 def _scaled_schur_sum(x: Graph, psi: IntPoly, w_num: IntPoly, w_den: IntPoly):
@@ -94,22 +135,37 @@ def _scaled_schur_sum(x: Graph, psi: IntPoly, w_num: IntPoly, w_den: IntPoly):
     w_den psi'^2 modulo psi."""
     dpsi = poly_derivative(psi)
     inv, denom = poly_inverse_mod_int(poly_mul(w_den, poly_mul(dpsi, dpsi)), psi)
-    return _hankel_form(x, psi, poly_mod_monic_int(poly_mul(w_num, inv), psi)), denom
+    residue = poly_mod_monic_int(poly_mul(w_num, inv), psi)
+    return _hankel_form(list(_adjugate(x, psi))[::-1], psi, residue), denom
 
 
-def _hankel_form(x: Graph, psi: IntPoly, residue: IntPoly) -> list[list[int]]:
-    """Entry (u, v) is sum_theta r(theta) q_theta(A)_uv^2 for the integer
-    residue r, that is b^T H b: H_ij = mu_(i+j), the moments mu_m =
-    sum_theta theta^m r(theta) = sum_k r_k s_(m+k) from the power sums s of
-    psi, and b_m = (B_m)_uv, the coefficient of theta^m in q_theta(A)_uv,
-    from the Horner recurrence `polynomials._adjugate(x, psi)`, which
-    `char_poly` also runs."""
-    d = degree(psi)
-    s = power_sums(psi, 2 * d - 2 + len(residue))
-    moments = [sum(map(mul, residue, s[m:])) for m in range(2 * d - 1)]
-    hankel = [moments[i : i + d] for i in range(d)]
-    n = x.n
-    powers = list(_adjugate(x, psi))[::-1]
+def _hankel_form(powers, f: IntPoly, residue: IntPoly) -> list[list[int]]:
+    """Entry (u, v) is sum_theta r(theta) q_theta(A)_uv^2 over the roots theta
+    of f, a monic factor of psi of positive degree, for the integer residue r.
+
+    `powers`, a list that this call consumes, is B_0..B_(d-1) of the Horner
+    recurrence `polynomials._adjugate(x, psi)`, so q_theta(A)_uv =
+    sum_m theta^m (B_m)_uv.  Each B_m with m >= deg f is folded down mod f
+    in place, as `poly_mod_monic_int` folds a coefficient (nothing folds for
+    f = psi), which leaves b, the coefficients of q_theta(A)_uv mod f.  The
+    entry is then b^T H b: H_ij = mu_(i+j), the moments mu_m =
+    sum_theta theta^m r(theta) = sum_k r_k s_(m+k) from the power sums s
+    of f.
+    """
+    e = degree(f)
+    while len(powers) > e:
+        top = powers.pop()
+        off = len(powers) - e
+        for j, c in enumerate(f[:e]):
+            if c:
+                powers[off + j] = [
+                    [a - c * b for a, b in zip(row, top_row)]
+                    for row, top_row in zip(powers[off + j], top)
+                ]
+    s = power_sums(f, 2 * e - 2 + len(residue))
+    moments = [sum(map(mul, residue, s[m:])) for m in range(2 * e - 1)]
+    hankel = [moments[i : i + e] for i in range(e)]
+    n = len(powers[0])
     out = [[0] * n for _ in range(n)]
     for u in range(n):
         for v, b in enumerate(zip(*(bm[u][u:] for bm in powers)), u):
@@ -150,11 +206,16 @@ def exact_rank(mat) -> int:
         return 0
     rows = []
     for row in mat:
-        if not all(type(c) is int for c in row):
+        if not {int}.issuperset(map(type, row)):
             fr = [Fraction(c) for c in row]
             den = math.lcm(*(c.denominator for c in fr))
             row = [int(c * den) for c in fr]
-        rows.append(list(row))
+        rows.append(row)
+    # a column that is zero in every row stays zero, so only the others are eliminated
+    live = [j for j, col in enumerate(zip(*rows)) if any(col)]
+    if not live:
+        return 0
+    rows = [list(map(row.__getitem__, live)) for row in rows]
     nrows = len(rows)
     ncols = len(rows[0])
     prev = 1

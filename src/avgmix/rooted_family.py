@@ -285,6 +285,22 @@ def build_family(
     Each member is ranked by `census.classify_tree`, the coefficient-matrix
     rank of a simple tree; a member that is not simple raises
     ConsistencyError.  Refuses members beyond the vertex cap.
+
+    Rank doubling.  The block formula M(X o K2) = [[M - N, N], [N, M - N]],
+    N = sum_theta 2/(theta^2 + 4) E_theta o E_theta, is taken by the
+    orthogonal (1/sqrt 2)[[I, I], [I, -I]] to diag(M, M - 2N), so
+
+        rank M(X o K2) = rank M + rank sum_theta theta^2/(theta^2 + 4) E_theta o E_theta.
+
+    Every term is PSD, and the weights theta^2/(theta^2 + 4) are positive
+    unless theta = 0, so without the eigenvalue 0 the second sum has the
+    kernel of M (the kernel argument of `exact.amm_rank`) and the rank
+    doubles.  A forest has the eigenvalue 0 exactly n - 2 nu times, nu its
+    matching number, so a member with 2 nu = n whose successor's rank is not
+    twice its own raises ConsistencyError.  Every pendant product has a
+    perfect matching (each vertex with its pendant), so from member 1 on
+    every step doubles the rank whatever the base; from t*, which has a
+    perfect matching too, every step does.
     """
     if k < 0:
         raise ValueError(f"family index must be non-negative, got {k}")
@@ -299,6 +315,14 @@ def build_family(
             raise ConsistencyError(
                 f"family member {i} lost eigenvalue simplicity", [write_graph6(g)],
             )
+        if members:
+            prev = members[-1]
+            if 2 * matching_number(prev.graph) == prev.n and rank != 2 * prev.rank:
+                raise ConsistencyError(
+                    f"family member {i} has rank {rank}, not twice the rank {prev.rank} "
+                    f"of member {i - 1}, which has no eigenvalue 0",
+                    [write_graph6(g)],
+                )
         members.append(FamilyMember(i, g, rank))
         if i < k:
             g = rooted_product_k2(g)

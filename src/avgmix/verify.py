@@ -23,6 +23,7 @@ from .census import census, compare_tables, records_to_csv
 from .enumeration import enumerate_trees, random_tree
 from .errors import ConsistencyError, DomainError
 from .exact import (
+    amm_rank,
     average_mixing_exact,
     coefficient_matrix,
     is_psd_exact,
@@ -276,6 +277,17 @@ def suite_kernel(r: _Runner, n_max: int):
     r.check(f"kernel vectors lift to the pendant product ({lifted} lifts, n<={n_max})", bad == 0)
 
 
+def non_tree_graphs() -> list[Graph]:
+    """C5, C6, C8, K4, K5, two disjoint P3 and the empty graphs on 4 and 2
+    vertices, the graphs besides trees that rank routes are checked on: the
+    cycles and complete graphs take Faddeev-LeVerrier, the others are
+    forests but not trees, and all have repeated eigenvalues."""
+    cycles = [Graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (5, 6, 8)]
+    complete = [Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]) for n in (4, 5)]
+    two_p3 = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    return [*cycles, *complete, two_p3, Graph(4, ()), Graph(2, ())]
+
+
 def suite_coefficient(r: _Runner, n_max: int):
     bad = 0
     count = 0
@@ -284,6 +296,11 @@ def suite_coefficient(r: _Runner, n_max: int):
         if rank_via_coefficient(t) != average_mixing_exact(t).rank:
             bad += 1
     r.check(f"coefficient rank equals exact rank on {count} simple trees (n<={n_max})", bad == 0)
+
+    graphs = [t for n in range(1, n_max + 1) for t in enumerate_trees(n)] + non_tree_graphs()
+    bad = [write_graph6(g) for g in graphs if amm_rank(g) != average_mixing_exact(g).rank]
+    r.check(f"amm_rank equals exact rank on every tree n<={n_max}, cycles, complete "
+            f"and empty graphs ({len(graphs)} graphs)", not bad, " ".join([f"{len(bad)} bad", *bad[:3]]))
 
 
 def suite_rooted(r: _Runner, n_max: int):

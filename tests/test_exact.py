@@ -21,7 +21,7 @@ from avgmix.exact import (
     weighted_projector_schur_sum,
 )
 from avgmix.graphs import Graph, path, rooted_product_k2, star
-from avgmix.verify import run_suite
+from avgmix.verify import non_tree_graphs, run_suite
 
 HALF = Fraction(1, 2)
 
@@ -121,18 +121,10 @@ def test_amm_rank_equals_exact_rank():
 
     graphs = [t for n in range(1, 13) for t in enumerate_trees(n)]
     rng = random.Random(6)
-    graphs += [random_tree(n, rng) for n in (16, 18) for _ in range(20)]
-
-    def cycle(n):
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-    def complete(n):
-        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-    # cycles and complete graphs take char_poly and have repeated eigenvalues,
-    # as does the disconnected forest of two P3
-    graphs += [cycle(5), cycle(6), complete(4), complete(5), Graph(4, ())]
-    graphs.append(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
+    graphs += [random_tree(n, rng) for n in (16, 18, 20) for _ in range(20)]
+    # cycles, complete graphs, two disjoint P3 and empty graphs: all with
+    # repeated eigenvalues, the cycles and complete graphs through char_poly
+    graphs += non_tree_graphs()
     for g in graphs:
         assert amm_rank(g) == average_mixing_exact(g).rank, g.edges
 

@@ -164,6 +164,23 @@ def test_build_family_ranks_and_gaps(tstar, tmp_path):
         build_family(2, vertex_cap=144, base=path(40))  # the base's own order counts: 160
 
 
+def test_build_family_rank_doubling(monkeypatch):
+    from avgmix import rooted_family
+
+    # P3 has the eigenvalue 0, so its first step need not double; its
+    # pendant product has a perfect matching, so every later step does
+    assert [m.rank for m in build_family(2, base=path(3))] == [2, 3, 6]
+    real = rooted_family.classify_tree
+
+    def one_too_many(t, method):
+        rank, simple = real(t, method)
+        return rank + (t.n == 8), simple
+
+    monkeypatch.setattr(rooted_family, "classify_tree", one_too_many)
+    with pytest.raises(ConsistencyError, match="not twice"):
+        build_family(2, base=path(2))
+
+
 def test_tstar_cache_roundtrip(tstar, tmp_path):
     from avgmix.graph6 import write_graph6
 
