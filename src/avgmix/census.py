@@ -245,8 +245,12 @@ def records_from_csv(text: str) -> list[CensusRecord]:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"census CSV must start with header {CSV_HEADER!r}")
     out = []
+    seen = set()
     for ln in lines[1:]:
         n, rank, trees, simple = map(int, ln.split(","))
+        if (n, rank) in seen:
+            raise ValueError(f"census CSV repeats the cell n={n}, rank={rank}")
+        seen.add((n, rank))
         out.append(CensusRecord(n, rank, trees, simple))
     return out
 

@@ -17,6 +17,12 @@ Free trees are reduced to rooted ones through the centroid:
 
 The two cases are disjoint and cover everything, so each isomorphism class
 appears exactly once.  Output order is deterministic.
+
+A depth sequence is a preorder, so each vertex's parent is the latest
+vertex one level up, and always has a smaller label.  Trees leave as that
+parent array through `Tree.from_parents`, whose O(n) check
+(0 <= parent[i] < i) already proves a tree, so the enumerator never
+re-normalises edges or traverses what it built.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import functools
 import heapq
 import random
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from .graphs import Tree
 
@@ -62,19 +68,19 @@ def _forests(total: int, max_size: int, bound: Seq | None) -> Iterator[tuple[Seq
                 yield (t,) + rest
 
 
-def _sequence_to_edges(seq: Seq) -> list[tuple[int, int]]:
-    """Edges of the rooted tree encoded by a depth sequence."""
-    chain = []  # chain[d] = latest vertex seen at depth d
-    edges = []
-    for i, d in enumerate(seq):
-        if d > 0:
-            edges.append((chain[d - 1], i))
-        if d == len(chain):
-            chain.append(i)
-        else:
-            chain[d] = i
-            del chain[d + 1 :]
-    return edges
+def _sequence_to_parents(seq: Sequence[int]) -> list[int]:
+    """Parent array of the rooted tree encoded by a depth sequence.
+
+    The vertex at preorder position i and depth d > 0 hangs from the
+    latest vertex seen at depth d - 1; the root's entry is -1.
+    """
+    chain = [0] * len(seq)  # chain[d] = latest vertex seen at depth d
+    parent = [-1] * len(seq)
+    for i in range(1, len(seq)):
+        d = seq[i]
+        parent[i] = chain[d - 1]
+        chain[d] = i
+    return parent
 
 
 def enumerate_trees(n: int) -> Iterator[Tree]:
@@ -90,13 +96,13 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
         seq = [0]
         for sub in forest:
             seq.extend(d + 1 for d in sub)
-        yield Tree(n, tuple(_sequence_to_edges(tuple(seq))))
+        yield Tree.from_parents(_sequence_to_parents(seq))
     if n % 2 == 0:
         halves = _rooted_sequences(n // 2)
         for t1 in halves:
             for t2 in halves:
                 if t2 <= t1:
-                    yield Tree(n, tuple(_sequence_to_edges(t1 + tuple(d + 1 for d in t2))))
+                    yield Tree.from_parents(_sequence_to_parents(t1 + tuple(d + 1 for d in t2)))
 
 
 def free_tree_count(n: int) -> int:

@@ -129,7 +129,16 @@ class Graph:
 
 @dataclass(frozen=True)
 class Tree(Graph):
-    """A Graph that is verified connected and acyclic at construction."""
+    """A Graph that is verified connected and acyclic at construction.
+
+    Two constructors, one result: equal, equally hashed and pickled the
+    same for the same tree.  `Tree(n, edges)` takes any edge list and runs
+    the full check (edge normalisation, then n - 1 edges and one spanning
+    forest traversal for connectivity); graph6 and edge-list input, the t*
+    cache, `random_tree` and `rooted_product_k2` go through it.
+    `Tree.from_parents(parent)` takes a parent array and is checked in
+    O(n) with no traversal; the enumerator and `path` and `star` use it.
+    """
 
     def __post_init__(self):
         super().__post_init__()
@@ -137,6 +146,31 @@ class Tree(Graph):
             raise GraphInputError(f"tree on {self.n} vertices needs {self.n - 1} edges, got {self.m}")
         if not self.is_connected():
             raise GraphInputError("tree input is disconnected")
+
+    @classmethod
+    def from_parents(cls, parent) -> "Tree":
+        """The tree with edges (parent[v], v), v >= 1, for parent[0] = -1.
+
+        Every other entry must be an int with 0 <= parent[v] < v, or
+        `GraphInputError` is raised.  That check is the certificate: it
+        gives n - 1 distinct edges, and each vertex reaches the root 0
+        through ever smaller labels, so the graph is connected.  The
+        sorted edge tuple is set directly, without `__post_init__`.
+        """
+        n = len(parent)
+        if n == 0 or parent[0] != -1:
+            raise GraphInputError(f"parent array must start with the root's -1, got {parent[:1]!r}")
+        edges = []
+        for v in range(1, n):
+            p = parent[v]
+            if type(p) is not int or not 0 <= p < v:
+                raise GraphInputError(f"parent[{v}] = {p!r} is not a vertex below {v}")
+            edges.append((p, v))
+        edges.sort()
+        t = object.__new__(cls)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "edges", tuple(edges))
+        return t
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -147,14 +181,14 @@ def star(m: int) -> Tree:
     """Star on m vertices with vertex 0 as the center."""
     if m < 1:
         raise GraphInputError("star needs at least one vertex")
-    return Tree(m, tuple((0, i) for i in range(1, m)))
+    return Tree.from_parents([-1] + [0] * (m - 1))
 
 
 def path(m: int) -> Tree:
     """Path 0 - 1 - ... - m-1."""
     if m < 1:
         raise GraphInputError("path needs at least one vertex")
-    return Tree(m, tuple((i, i + 1) for i in range(m - 1)))
+    return Tree.from_parents(list(range(-1, m - 1)))
 
 
 def rooted_product_k2(x: Graph) -> Graph:
@@ -188,8 +222,9 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphInputError(f"bad vertex count line {lines[0]!r}") from None
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphInputError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:  # a wrong field count or a non-integer endpoint
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise GraphInputError(f"bad edge line {ln!r}: need two integer endpoints") from None
+        edges.append((u, v))
     return Graph(n, tuple(edges))

@@ -200,6 +200,9 @@ def test_csv_roundtrip_and_header():
     assert records_from_csv(text) == recs
     with pytest.raises(ValueError):
         records_from_csv("bogus\n1,2,3,4\n")
+    # a repeated cell is an error, not a silent overwrite of the first copy
+    with pytest.raises(ValueError, match="n=6, rank=6"):
+        records_from_csv(text + "6,6,1,0\n")
 
 
 def test_compare_flags_mismatches_with_certificates():

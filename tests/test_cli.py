@@ -172,6 +172,13 @@ def test_compare_detects_corruption(tmp_path, capsys):
     out.write_text("\n".join(lines) + "\n")
     assert main(["compare", str(out)]) == 1
     assert "MISMATCH" in capsys.readouterr().out
+    # a repeated last line would put a seventh tree in order 6 unseen
+    assert main(["census", "--n-max", "6", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.splitlines()[-1] == "6,6,1,0"
+    out.write_text(text + "6,6,1,0\n")
+    assert main(["compare", str(out)]) == 2
+    assert "repeats the cell n=6, rank=6" in capsys.readouterr().err
 
 
 def test_verify_cli(monkeypatch, capsys):

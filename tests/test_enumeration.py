@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
 
 from avgmix.enumeration import enumerate_trees, free_tree_count, random_tree
+from avgmix.errors import GraphInputError
 from avgmix.graph6 import parse_graph6, write_graph6
 from avgmix.graphs import Tree
 from avgmix.reference_data import REFERENCE_RANK_TABLE
@@ -38,10 +40,28 @@ def test_single_vertex_and_examples():
 
 
 def test_every_output_is_a_valid_tree():
-    for n in range(1, 11):
-        for t in enumerate_trees(n):
-            assert isinstance(t, Tree)
-            assert t.n == n and t.m == n - 1 and t.is_connected()
+    # the enumerator builds trees with Tree.from_parents, which skips
+    # __post_init__: each must be the tree the validating constructor
+    # builds from its edges, on orders 1..14 and the benchmark's order-18
+    # scan window
+    streams = [(n, enumerate_trees(n)) for n in range(1, 15)]
+    streams.append((18, itertools.islice(enumerate_trees(18), 34_816)))
+    for n, trees in streams:
+        for t in trees:
+            ref = Tree(n, t.edges)
+            assert type(t) is Tree and t == ref and hash(t) == hash(ref)
+            assert type(t.edges) is tuple and list(t.edges) == sorted(t.edges)
+            assert all(type(e) is tuple and 0 <= e[0] < e[1] < n for e in t.edges)
+            assert t.is_connected()
+            assert pickle.dumps(t) == pickle.dumps(ref) and pickle.loads(pickle.dumps(t)) == t
+
+
+def test_from_parents_rejects_non_trees():
+    assert Tree.from_parents([-1]) == Tree(1, ())
+    assert Tree.from_parents((-1, 0, 1, 0)).edges == ((0, 1), (0, 3), (1, 2))
+    for bad in ([], [0, 0], [-1, 1], [-1, 0, -1], [-1, 5], [-1, 0.0], [-1, True], [-1, "0"]):
+        with pytest.raises(GraphInputError):
+            Tree.from_parents(bad)
 
 
 def _isomorphic_bruteforce(a: Tree, b: Tree) -> bool:

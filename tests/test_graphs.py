@@ -21,6 +21,10 @@ def test_constructors():
     p = path(4)
     assert p.edges == ((0, 1), (1, 2), (2, 3))
     assert path(1).m == 0 and star(1).m == 0
+    # both are built from parent arrays, and equal the edge-list route
+    for m in range(1, 9):
+        assert path(m) == Tree(m, tuple((i, i + 1) for i in range(m - 1))), m
+        assert star(m) == Tree(m, tuple((0, i) for i in range(1, m))), m
 
 
 def test_edge_normalization_and_errors():
@@ -89,5 +93,6 @@ def test_edge_list_roundtrip():
     assert parse_edge_list(write_edge_list(g)) == g
     with pytest.raises(GraphInputError):
         parse_edge_list("")
-    with pytest.raises(GraphInputError):
-        parse_edge_list("3\n0 1 2\n")
+    for bad in ("3\n0 1 2\n", "3\n0 x\n", "3\n0 1.5\n"):
+        with pytest.raises(GraphInputError, match="bad edge line"):
+            parse_edge_list(bad)
