@@ -14,12 +14,15 @@ count of Otter's formula.
 
 Methods:
   exact      rank and simplicity from the exact average mixing matrix;
-  coeff-fast one matching DP per tree decides simplicity and gives phi for
-             the integer coefficient matrix of simple trees (the two ranks
-             agree for simple spectra) and for `amm_rank` otherwise, which
-             generalises that shortcut: adjugate diagonals modulo the
-             simple eigenvalues' polynomial, beside a Hankel form over the
-             repeated eigenvalues only;
+  coeff-fast one matching DP per tree decides simplicity and whether every
+             nonzero eigenvalue is simple (H squarefree, for
+             phi = t^k H(t^2)), tested at most once per tree.  If so, about
+             90% of the trees of order 18 and every simple one, the rank is
+             `walk_rank`'s: closed-walk counts beside the Schur squares of
+             a leaf-matching kernel basis, in integers.  Otherwise
+             `amm_rank` ranks from the DP's phi: adjugate diagonals modulo
+             the simple eigenvalues' polynomial, beside a Hankel form over
+             the repeated eigenvalues only;
   float      numeric rank of the floating average mixing matrix, simplicity
              from eigenvalue clustering.
 """
@@ -37,10 +40,16 @@ from dataclasses import dataclass
 
 from .enumeration import enumerate_trees, free_tree_count
 from .errors import ConsistencyError
-from .exact import amm_rank, average_mixing_exact, coefficient_matrix, exact_rank
-# parse_graph6 is not called here; perfbench/layers.py wraps avgmix.census:parse_graph6
+# coefficient_matrix and exact_rank are not called here, nor parse_graph6 below;
+# perfbench/layers.py wraps avgmix.census:coefficient_matrix, :exact_rank and :parse_graph6
+from .exact import amm_rank, average_mixing_exact, coefficient_matrix, exact_rank, walk_rank
 from .graph6 import parse_graph6, write_graph6
-from .matchings import counts_to_char_poly, forest_matching_counts, simple_from_matching_counts
+from .matchings import (
+    counts_to_char_poly,
+    forest_matching_counts,
+    nonzero_eigenvalues_simple,
+    simple_from_matching_counts,
+)
 from .reference_data import (
     KNOWN_DISCREPANCY_NOTES,
     REFERENCE_MIN_RANK,
@@ -73,10 +82,12 @@ def classify_tree(t, method: str) -> tuple[int, bool]:
         return r.rank, r.simple
     if method == "coeff-fast":
         counts = forest_matching_counts(t)
-        phi = counts_to_char_poly(t.n, counts)
-        if simple_from_matching_counts(t.n, counts):
-            return exact_rank(coefficient_matrix(t, phi)), True
-        return amm_rank(t, phi), False
+        simple = simple_from_matching_counts(t.n, counts)
+        # H is tested here only when the eigenvalue 0 repeats, where the
+        # simplicity test skipped it
+        if simple or (2 * len(counts) <= t.n and nonzero_eigenvalues_simple(counts)):
+            return walk_rank(t, counts), simple
+        return amm_rank(t, counts_to_char_poly(t.n, counts)), False
     if method == "float":
         from .numeric import classify_float
 

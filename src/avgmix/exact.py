@@ -13,7 +13,10 @@ D, from an integer extended Euclid.  The rank needs no weights: the
 simple eigenvalues contribute only the diagonals of the adjugate's
 coefficients, reduced modulo the polynomial of the simple roots, and the
 repeated ones the assembly with r = 1 over f, the polynomial of the
-repeated roots (`amm_rank`).  Both rank on integers.
+repeated roots (`amm_rank`).  Both rank on integers.  A forest whose only
+repeated eigenvalue, if any, is 0 needs no polynomial at all:
+`walk_rank` ranks its closed-walk counts beside the Schur squares of an
+integer kernel basis.
 """
 from __future__ import annotations
 
@@ -21,10 +24,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .errors import DomainError
 from .graphs import Graph
+from .matchings import kernel_basis
 from .polynomials import (
     IntPoly,
     _adjugate,
@@ -126,6 +130,81 @@ def amm_rank(x: Graph, phi: IntPoly | None = None) -> int:
         for row, s_row in zip(rows, _hankel_form(powers, f, [1])):
             row += s_row
     return exact_rank(rows)
+
+
+def walk_rank(x: Graph, counts: list[int]) -> int:
+    """Rank of the average mixing matrix M of a forest whose nonzero
+    eigenvalues are all simple, from closed-walk counts and the kernel of
+    A, in integers only; `counts` are x's matching counts
+    (`matchings.forest_matching_counts`), which must satisfy
+    `matchings.nonzero_eigenvalues_simple`.
+
+    Statement.  phi = t^k H(t^2) with nu = deg H the matching number and
+    k = n - 2 nu, and H squarefree.  Let W_uj = (A^(2j))_uu =
+    ||A^j e_u||^2 for j = 1..nu, and let x_1..x_k be an integer basis of
+    ker A (`matchings.kernel_basis`).  Then
+
+        rank M = rank [W | x_a o x_b  (a <= b)].
+
+    Proof.
+    1. M = sum_theta E_theta o E_theta is a sum of PSD matrices (Schur
+       product theorem), so its column space is the sum of theirs.
+    2. A simple theta has E_theta = y y^T (Godsil, "Average mixing of
+       continuous quantum walks", JCTA 2013), so E_theta o E_theta has
+       column space span{diag E_theta}.  A forest is bipartite: with S the
+       diagonal +-1 matrix of a 2-colouring, S A S = -A, so the spectrum is
+       symmetric and E_(-theta) = S E_theta S has the same diagonal as
+       E_theta.  The nonzero eigenvalues thus contribute
+       span{diag E_theta : theta > 0}.
+    3. diag A^(2j) = sum_theta theta^(2j) diag E_theta = sum_(theta > 0)
+       2 theta^(2j) diag E_theta for j >= 1, as theta = 0 adds nothing.
+       The nu values theta^2 are the roots of H, distinct and positive, so
+       the nu x nu matrix (2 theta_i^(2j)) is invertible (a Vandermonde
+       matrix times a diagonal one), and the columns of W span what step 2
+       found.
+    4. E_0 = X G X^T with X = [x_1..x_k] and G = (X^T X)^(-1) positive
+       definite, so E_0 = Y Y^T for Y = X G^(1/2), and E_0 o E_0 =
+       sum_(a,b) (y_a o y_b)(y_a o y_b)^T has column space span{y_a o y_b}.
+       The y's and the x's span the same space and o is bilinear, so that
+       is span{x_a o x_b : a <= b}.
+    5. A rational matrix has the same rank over R as over Q.
+
+    For k <= 1 this ranks the simple trees too, beside the paper's
+    rank M = rank C (`rank_via_coefficient`), its cross-check.
+
+    Computation.  Row u of A^j is zero off the colour class
+    c(u) xor (j mod 2), for the 2-colouring c of the spanning forest
+    that `kernel_basis` walked, so each row is kept as a list over that
+    class alone.  Step j builds row u as the sum of its neighbours' rows of
+    A^(j-1), and W_uj is the row's squared norm; nu steps suffice.
+    """
+    kernel, (order, parent) = kernel_basis(x, counts)
+    colour = [0] * x.n
+    for v in order:
+        if parent[v] >= 0:
+            colour[v] = colour[parent[v]] ^ 1
+    size = [0, 0]
+    pos = []  # u's index within its colour class
+    for c in colour:
+        pos.append(size[c])
+        size[c] += 1
+    rows = [[int(i == at) for i in range(size[c])] for at, c in zip(pos, colour)]  # A^0 = I
+    out = [[] for _ in range(x.n)]
+    nbr = x.neighbors()
+    for _ in range(len(counts) - 1):
+        nxt = []
+        for ws in nbr:
+            row = rows[ws[0]] if ws else []  # an isolated vertex's rows are zero from A^1 on
+            for w in ws[1:]:
+                row = list(map(add, row, rows[w]))
+            nxt.append(row)
+        rows = nxt
+        for w_row, row in zip(out, rows):
+            w_row.append(sum(map(mul, row, row)))
+    k = len(kernel[0])
+    for w_row, xu in zip(out, kernel):
+        w_row += [xu[a] * xu[b] for a in range(k) for b in range(a, k)]
+    return exact_rank(out)
 
 
 def _scaled_schur_sum(x: Graph, psi: IntPoly, w_num: IntPoly, w_den: IntPoly):

@@ -1,4 +1,5 @@
-"""Matching counts on forests and the rank lower-bound certificates.
+"""Matching counts on forests, leaf matching with its kernel basis, and the
+rank lower-bound certificates.
 
 For a forest the characteristic polynomial carries the matching counts in
 its coefficients (coefficient of t^(n-2k) is (-1)^k m_k; Godsil & Gutman,
@@ -15,7 +16,11 @@ leaf matching (Karp & Sipser, FOCS 1981): the same leaf rule, run children
 first over the spanning forest, on the same domain of forests.  It
 already rules most trees out: the eigenvalue 0 of a forest has
 multiplicity n - 2 nu (Cvetkovic, Doob & Sachs, Spectra of Graphs), so a
-tree with 2 nu < n - 1 is not simple.  The 18-vertex scan runs the DP only on the trees that pass.
+tree with 2 nu < n - 1 is not simple.  The 18-vertex scan runs the DP only
+on the trees that pass.  The same greedy, `leaf_matching`, also yields an
+integer basis of the kernel of A: each matched leaf and its partner are
+one step of back-substitution (`kernel_basis`), and `exact.walk_rank`
+ranks the average mixing matrix from that basis.
 
 The rows of the coefficient matrix are the characteristic polynomials of
 the vertex-deleted forests, the diagonal of adj(tI - A) (`exact`).  The
@@ -28,8 +33,10 @@ average mixing matrix has rank at least three.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import ConsistencyError, DomainError
+from .graph6 import write_graph6
 from .graphs import Graph
 from .polynomials import poly_add, poly_mul
 
@@ -86,49 +93,134 @@ def counts_to_char_poly(n: int, counts: list[int]) -> list[int]:
     return out
 
 
-def simple_from_matching_counts(n: int, counts: list[int]) -> bool:
-    """Eigenvalue simplicity of a forest, decided from its matching counts.
-
-    With m the maximum matching size, the characteristic polynomial is
-    t^(n-2m) H(t^2) for the degree-m monic H(y) = sum_k (-1)^k m_k y^(m-k),
-    whose roots are the squares of the nonzero eigenvalues.  All n
-    eigenvalues are distinct iff n - 2m <= 1 and H is squarefree.
-    """
+def nonzero_eigenvalues_simple(counts: list[int]) -> bool:
+    """Whether every nonzero eigenvalue of a forest with these matching
+    counts is simple: with m the maximum matching size, the characteristic
+    polynomial is t^(n-2m) H(t^2) for the degree-m monic
+    H(y) = sum_k (-1)^k m_k y^(m-k), whose roots are the squares of the
+    nonzero eigenvalues, all positive, so this holds iff H is squarefree."""
     from .polynomials import is_squarefree
 
     m = len(counts) - 1
-    if n - 2 * m >= 2:
-        return False
     h = [0] * (m + 1)
     for k, mk in enumerate(counts):
         h[m - k] = -mk if k % 2 else mk
     return is_squarefree(h)
 
 
-def matching_number(g: Graph) -> int:
-    """Size nu of a maximum matching of a forest, by greedy leaf matching.
+def simple_from_matching_counts(n: int, counts: list[int]) -> bool:
+    """Eigenvalue simplicity of a forest, decided from its matching counts.
+
+    All n eigenvalues are distinct iff the eigenvalue 0, of multiplicity
+    n - 2m for m the maximum matching size, is at most simple and H is
+    squarefree (`nonzero_eigenvalues_simple`); H is tested only when
+    n - 2m <= 1.
+    """
+    return n - 2 * (len(counts) - 1) <= 1 and nonzero_eigenvalues_simple(counts)
+
+
+def leaf_matching(g: Graph) -> tuple[int, list[tuple[int, int]], tuple[list[int], list[int]]]:
+    """(nu, pairs, forest): a maximum matching of a forest by greedy leaf
+    matching, its size nu, its edges as (leaf v, partner p) in the order
+    matched, and the spanning forest (preorder, parent) the greedy walked.
 
     A leaf lies on an edge of some maximum matching together with its one
     neighbour, so matching each leaf to its neighbour and deleting both
     until no edge is left yields a maximum matching (Karp & Sipser, FOCS
     1981).  Run children first over the spanning forest, the same rule
-    reads: a vertex still free when its subtree is done is a leaf of what
-    is left, so it is matched to its parent if the parent is free.
-    DomainError unless g is a forest.  Linear time.
+    reads: a vertex still free when its subtree is done has lost every
+    child to an earlier pair, so it is a leaf (or isolated) in what is left,
+    and it is matched to its parent if the parent is free.  The vertices
+    left free are pairwise non-adjacent: of two adjacent ones, the child
+    would have been matched to the parent.  DomainError unless g is a
+    forest.  Linear time.
+    """
+    order, parent = forest = _forest(g)
+    free = [True] * g.n
+    pairs = []
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0 and free[v] and free[p]:
+            free[v] = free[p] = False
+            pairs.append((v, p))
+    return len(pairs), pairs, forest
+
+
+def matching_number(g: Graph) -> int:
+    """Size nu of a maximum matching of a forest, from `leaf_matching`.
 
     For a forest, n - 2 nu is the multiplicity of the eigenvalue 0
     (Cvetkovic, Doob & Sachs, Spectra of Graphs), so a forest with
     2 nu < n - 1 has a repeated eigenvalue.
     """
-    order, parent = _forest(g)
-    free = [True] * g.n
-    nu = 0
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0 and free[v] and free[p]:
-            free[v] = free[p] = False
-            nu += 1
-    return nu
+    return leaf_matching(g)[0]
+
+
+def _in_kernel(nbr: list[list[int]], x: list[list[int]]) -> bool:
+    """A X = 0 for the n x k matrix X with rows x: at every vertex the rows
+    of its neighbours sum to zero.  O(nk)."""
+    for ws in nbr:
+        total = x[ws[0]] if ws else []
+        for w in ws[1:]:
+            total = list(map(add, total, x[w]))
+        if any(total):
+            return False
+    return True
+
+
+def kernel_basis(g: Graph, counts: list[int]) -> tuple[list[list[int]], tuple[list[int], list[int]]]:
+    """(X, forest): the n x k integer matrix X, as rows, whose columns are a
+    basis x_1..x_k of the kernel of A for a forest g with matching counts
+    `counts`, and the spanning forest `leaf_matching` walked.
+
+    The kernel of a forest has dimension k = n - 2 nu (Cvetkovic, Doob &
+    Sachs).  Let (v, p) be a leaf v of a forest F and its neighbour.  Then
+    A(F) x = 0 reads x_p = 0 at v, x_v = -sum of x_w over p's other
+    neighbours w at p, and at every other vertex the equations of
+    A(F - v - p) on the rest of x, as v touches only p and x_p = 0.  So
+    x -> x restricted to F - v - p is an isomorphism of the kernels.  The
+    pairs of `leaf_matching` are such steps in order, with the vertices
+    of later pairs and the free ones still present at each step, and they
+    leave the free vertices without edges, whose kernel has the unit
+    vectors as basis.  Back-substituting through the pairs in reverse
+    order, x_p = 0 and x_v = -(sum over p's neighbours still present),
+    extends each unit vector to x_j, which is 1 at the j-th free vertex
+    and 0 at the others, so the k vectors are independent.
+
+    The greedy's nu must equal the DP's len(counts) - 1, and every x_j
+    must satisfy A x_j = 0; either failure raises ConsistencyError with
+    g's graph6.
+    """
+    nu, pairs, forest = leaf_matching(g)
+    if nu != len(counts) - 1:
+        raise ConsistencyError(
+            f"leaf matching finds a matching of size {nu}, the matching DP one of size "
+            f"{len(counts) - 1}",
+            [write_graph6(g)],
+        )
+    n = g.n
+    step = [nu] * n  # the pair that removes each vertex; free vertices stay to the end
+    for i, (v, p) in enumerate(pairs):
+        step[v] = step[p] = i
+    free = [u for u in range(n) if step[u] == nu]
+    k = len(free)
+    x: list[list[int]] = [[]] * n
+    for j, u in enumerate(free):
+        x[u] = [0] * k
+        x[u][j] = 1
+    nbr = g.neighbors()
+    zero = [0] * k
+    for i in range(nu - 1, -1, -1):
+        v, p = pairs[i]
+        x[p] = zero
+        total = zero
+        for w in nbr[p]:
+            if step[w] > i:  # present at step i; v itself has step i
+                total = list(map(add, total, x[w]))
+        x[v] = [-c for c in total]
+    if not _in_kernel(nbr, x):
+        raise ConsistencyError("leaf-matching kernel vector with A x != 0", [write_graph6(g)])
+    return x, forest
 
 
 def forest_has_perfect_matching(g: Graph) -> bool:
@@ -164,7 +256,6 @@ def leaf_next_to_degree_two(t: Graph) -> tuple[int, int]:
         if deg[u] == 1 and deg[nbr[u][0]] == 2:
             return (u, nbr[u][0])
     from .exact import is_simple
-    from .graph6 import write_graph6
 
     if is_simple(t):
         raise ConsistencyError(
@@ -223,7 +314,6 @@ def lower_bound_certificate(t: Graph) -> LowerBoundCertificate:
     rejected.
     """
     from .exact import coefficient_matrix
-    from .graph6 import write_graph6
 
     _require_tree(t, "lower_bound_certificate")
     n = t.n

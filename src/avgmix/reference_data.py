@@ -1,9 +1,10 @@
 """Published census data for trees on 2..20 vertices, embedded for comparison.
 
 Each table row is (rank, number of trees, number of those with all
-eigenvalues distinct).  Two known internal inconsistencies of the published
-source are annotated below so that comparison reports can distinguish a
-regression in this package from an erratum in the reference data.
+eigenvalues distinct).  Known inconsistencies of the published source are
+annotated below so that comparison reports can distinguish a regression in
+this package from an erratum in the reference data: one of its prose at
+order 6, and six trees that its rows 19 and 20 rank one too low.
 """
 
 from fractions import Fraction
@@ -65,6 +66,37 @@ REFERENCE_MIN_RANK: dict[int, int] = {
     14: 6, 15: 7, 16: 7, 17: 8, 18: 7, 19: 8, 20: 8,
 }
 
+# The trees on which the published rows 19 and 20 differ from the exact
+# census: (n, graph6, exact rank, smallest nonzero over largest eigenvalue
+# of the float average mixing matrix).  A float rank that counts the
+# eigenvalues above a relative cutoff of 6e-7 gives each of them one rank
+# less, and a float census at such a cutoff (any in [5e-7, 7e-7]) reproduces
+# the published rows 18-20 cell for cell; at 1e-8 it reproduces the exact ones.
+FLOAT_CUTOFF_WITNESSES: tuple[tuple[int, str, int, float], ...] = (
+    (19, "RhHAAA??G?_C?@?GO???@??I??C???", 13, 2.19e-7),
+    (20, "ShCGO__GC??@?A_???G?A_?A??C??C???", 16, 3.64e-7),
+    (20, "ShCH@A?_C??@?@?@?@??@??G?G??O??O?", 17, 3.32e-7),
+    (20, "ShC`@A??G@O??@?@O???@_????K??C???", 15, 3.75e-7),
+    (20, "ShG`@A??G?_A?C?G??G?A_????G??S???", 19, 4.60e-7),
+    (20, "ShH?GI?_C??@?@??_?_?G?@??C??G??G?", 19, 2.66e-7),
+)
+
+
+def _float_cutoff_note(n: int) -> str:
+    trees = "; ".join(
+        f"{g6} (exact rank {rank}, eigenvalue ratio {ratio:.2e})"
+        for m, g6, rank, ratio in FLOAT_CUTOFF_WITNESSES
+        if m == n
+    )
+    return (
+        f"the published row {n} matches a float census whose relative eigenvalue cutoff "
+        "lies in [5e-7, 7e-7]: each tree below has smallest nonzero over largest "
+        "eigenvalue of its average mixing matrix under that cutoff, so the table "
+        "counts it one rank below its exact rank, which both exact routes and a "
+        f"float rank at 1e-8 give: {trees}"
+    )
+
+
 # Known internal inconsistencies of the published source, keyed by the
 # census order they affect.  The exact pipeline is authoritative; these
 # notes let a comparison distinguish "our bug" from "known erratum".
@@ -75,6 +107,8 @@ KNOWN_DISCREPANCY_NOTES: dict[int, str] = {
         "published table lists ranks 3/5/6 with simple counts 2/0/0; the exact "
         "pipeline confirms the table (ranks 3,3,3,5,5,6; two simple, both rank 3)"
     ),
+    19: _float_cutoff_note(19),
+    20: _float_cutoff_note(20),
 }
 
 STAR_FORMULA_NOTE = (

@@ -26,21 +26,19 @@ import numpy as np
 from .census import classify_tree, map_chunks
 from .errors import ConsistencyError, DomainError
 from .enumeration import enumerate_trees
+# coefficient_matrix and exact_rank are not called here; perfbench/layers.py wraps
+# avgmix.rooted_family:coefficient_matrix and :exact_rank
 from .exact import (
     RatMatrix,
     average_mixing_exact,
     coefficient_matrix,
     exact_rank,
+    walk_rank,
     weighted_projector_schur_sum,
 )
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, Tree, rooted_product_k2
-from .matchings import (
-    counts_to_char_poly,
-    forest_matching_counts,
-    matching_number,
-    simple_from_matching_counts,
-)
+from .matchings import forest_matching_counts, matching_number, simple_from_matching_counts
 # is_squarefree is not called here; perfbench/layers.py wraps avgmix.rooted_family:is_squarefree
 from .polynomials import IntPoly, char_poly, is_squarefree, poly_add, poly_mul, poly_scale, poly_shift
 
@@ -162,7 +160,7 @@ def _scan_chunk(rank_below: int, trees) -> tuple[int, list[tuple[int, Tree]]]:
         counts = forest_matching_counts(t)
         if not simple_from_matching_counts(t.n, counts):
             continue
-        rank = exact_rank(coefficient_matrix(t, counts_to_char_poly(t.n, counts)))
+        rank = walk_rank(t, counts)
         if rank < rank_below:
             hits.append((rank, t))
     return scanned, hits
@@ -181,8 +179,8 @@ def search_low_rank_simple_trees(
     prefilters: a tree whose matching number nu has 2 nu < n - 1 has the
     eigenvalue 0 at least twice and is skipped.  Simplicity of the others
     is then decided by the matching-count squarefree test and the rank by
-    fraction-free elimination of the integer coefficient matrix, so the
-    scan is exact.  `progress(trees_scanned)` fires after every chunk.
+    `exact.walk_rank`, as in the census, in integers, so the scan is exact.
+    `progress(trees_scanned)` fires after every chunk.
     """
     if threads < 1:
         raise ValueError("threads must be positive")
@@ -282,8 +280,8 @@ def build_family(
 ) -> list[FamilyMember]:
     """Members 0..k of the iterated pendant family rooted at the 18-vertex tree.
 
-    Each member is ranked by `census.classify_tree`, the coefficient-matrix
-    rank of a simple tree; a member that is not simple raises
+    Each member is ranked by `census.classify_tree`, which ranks a simple
+    tree by `exact.walk_rank`; a member that is not simple raises
     ConsistencyError.  Refuses members beyond the vertex cap.
 
     Rank doubling.  The block formula M(X o K2) = [[M - N, N], [N, M - N]],

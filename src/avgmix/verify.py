@@ -29,6 +29,7 @@ from .exact import (
     is_psd_exact,
     kernel_exact,
     rank_via_coefficient,
+    walk_rank,
     weighted_projector_schur_sum,
 )
 from .graph6 import parse_graph6, write_graph6
@@ -39,6 +40,7 @@ from .matchings import (
     leaf_next_to_degree_two,
     lower_bound_certificate,
     near_perfect_vertex,
+    nonzero_eigenvalues_simple,
     simple_from_matching_counts,
 )
 from .numeric import (
@@ -297,10 +299,31 @@ def suite_coefficient(r: _Runner, n_max: int):
             bad += 1
     r.check(f"coefficient rank equals exact rank on {count} simple trees (n<={n_max})", bad == 0)
 
-    graphs = [t for n in range(1, n_max + 1) for t in enumerate_trees(n)] + non_tree_graphs()
+    trees = [t for n in range(1, n_max + 1) for t in enumerate_trees(n)]
+    graphs = trees + non_tree_graphs()
     bad = [write_graph6(g) for g in graphs if amm_rank(g) != average_mixing_exact(g).rank]
     r.check(f"amm_rank equals exact rank on every tree n<={n_max}, cycles, complete "
             f"and empty graphs ({len(graphs)} graphs)", not bad, " ".join([f"{len(bad)} bad", *bad[:3]]))
+
+    # the integer route of every tree whose nonzero eigenvalues are simple
+    bad_amm, bad_coeff = [], []
+    covered = simple = 0
+    for t in trees:
+        counts = forest_matching_counts(t)
+        if not nonzero_eigenvalues_simple(counts):
+            continue
+        covered += 1
+        rank = walk_rank(t, counts)
+        if rank != amm_rank(t):
+            bad_amm.append(write_graph6(t))
+        if t.n >= 2 and simple_from_matching_counts(t.n, counts):
+            simple += 1
+            if rank != rank_via_coefficient(t):
+                bad_coeff.append(write_graph6(t))
+    r.check(f"walk_rank equals amm_rank on the {covered} trees n<={n_max} whose nonzero "
+            "eigenvalues are simple", not bad_amm, " ".join([f"{len(bad_amm)} bad", *bad_amm[:3]]))
+    r.check(f"walk_rank equals coefficient rank on {simple} simple trees (n<={n_max})",
+            not bad_coeff, " ".join([f"{len(bad_coeff)} bad", *bad_coeff[:3]]))
 
 
 def suite_rooted(r: _Runner, n_max: int):

@@ -3,6 +3,7 @@ import json
 import os
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import avgmix.numeric as numeric
@@ -18,8 +19,11 @@ from avgmix.census import (
     verify_totals,
 )
 from avgmix.enumeration import enumerate_trees, free_tree_count
+from avgmix.exact import amm_rank, average_mixing_exact, walk_rank
+from avgmix.graph6 import parse_graph6
 from avgmix.graphs import path, star
-from avgmix.reference_data import REFERENCE_RANK_TABLE
+from avgmix.matchings import forest_matching_counts, nonzero_eigenvalues_simple
+from avgmix.reference_data import FLOAT_CUTOFF_WITNESSES, KNOWN_DISCREPANCY_NOTES, REFERENCE_RANK_TABLE
 from avgmix.rooted_family import build_family, search_low_rank_simple_trees
 from avgmix.verify import run_suite
 
@@ -49,27 +53,38 @@ def test_coeff_fast_runs_one_matching_dp_per_tree(monkeypatch):
     """Every ranked tree takes its characteristic polynomial from its one DP,
     and the census and the scan rank the enumerator's trees without graph6."""
     calls = Counter()
+    routes = Counter()  # the rank route each classified tree took
     # `import avgmix.census` would bind the re-exported function `census`
-    for module, name in (
-        ("census", "forest_matching_counts"),
-        ("census", "write_graph6"),
-        ("census", "parse_graph6"),
-        ("rooted_family", "forest_matching_counts"),
-        ("rooted_family", "write_graph6"),
-        ("rooted_family", "parse_graph6"),
-        ("exact", "forest_char_poly"),
+    for module, name, into in (
+        ("census", "forest_matching_counts", calls),
+        ("census", "write_graph6", calls),
+        ("census", "parse_graph6", calls),
+        ("rooted_family", "forest_matching_counts", calls),
+        ("rooted_family", "write_graph6", calls),
+        ("rooted_family", "parse_graph6", calls),
+        ("exact", "forest_char_poly", calls),
+        ("census", "walk_rank", routes),
+        ("census", "amm_rank", routes),
     ):
         owner = importlib.import_module(f"avgmix.{module}")
 
-        def counted(*args, _orig=getattr(owner, name), _key=f"{module}.{name}"):
-            calls[_key] += 1
+        def counted(*args, _orig=getattr(owner, name), _key=f"{module}.{name}", _into=into):
+            _into[_key] += 1
             return _orig(*args)
 
         monkeypatch.setattr(owner, name, counted)
-    for t in (path(6), star(6)):  # simple, then not simple
+    # simple; the eigenvalue 0 four times and H = y - 5 squarefree; the
+    # spider with three legs of length 2, 0 once but H = (y - 1)^2 (y - 4)
+    for t, route in (
+        (path(6), "census.walk_rank"),
+        (star(6), "census.walk_rank"),
+        (parse_graph6("FkE?G"), "census.amm_rank"),
+    ):
         calls.clear()
+        routes.clear()
         classify_tree(t, "coeff-fast")
         assert dict(calls) == {"census.forest_matching_counts": 1}, t.edges
+        assert dict(routes) == {route: 1}, t.edges
     calls.clear()
     search_low_rank_simple_trees(10, 6)
     # only the 15 of the 106 trees that pass the leaf-matching prefilter
@@ -219,3 +234,21 @@ def test_compare_flags_mismatches_with_certificates():
 def test_compare_min_rank_row(census_2_12):
     rep = compare_tables(census_2_12)
     assert rep.ok  # includes the min-rank row: n=10 -> 4, n=7 -> 4
+
+
+def test_published_errata_witnesses():
+    """Each tree that the published rows 19 and 20 rank one too low: its exact
+    rank from all three exact routes, and the float rank one lower at the
+    relative cutoff 6e-7 and equal at the package's 1e-8."""
+    for n, g6, rank, ratio in FLOAT_CUTOFF_WITNESSES:
+        assert g6 in KNOWN_DISCREPANCY_NOTES[n]
+        t = parse_graph6(g6)
+        counts = forest_matching_counts(t)
+        assert t.n == n and nonzero_eigenvalues_simple(counts), g6
+        assert amm_rank(t) == average_mixing_exact(t).rank == walk_rank(t, counts) == rank, g6
+        m = numeric.average_mixing_float(t)
+        ev = np.linalg.eigvalsh(m)
+        top = ev[-1]
+        assert ev[-rank] / top == pytest.approx(ratio, rel=5e-3), g6
+        assert int(np.sum(ev > 6e-7 * top)) == rank - 1, g6
+        assert numeric.numeric_rank(m) == rank, g6  # the cutoff 1e-8

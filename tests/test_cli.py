@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import avgmix
+import avgmix.matchings as matchings_module
 import avgmix.numeric as numeric
 import avgmix.polynomials as polynomials_module
 import avgmix.rooted_family as rooted_family
@@ -162,6 +163,18 @@ def test_broken_invariant_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(polynomials_module, "poly_gcd_int", lambda a, b: [1, 1])
     assert main(["rank", write_graph6(star(4))]) == 1
     assert "verification failure: gcd failed to divide" in capsys.readouterr().err
+
+
+def test_broken_kernel_certificate_exits_1(tmp_path, monkeypatch, capsys):
+    """A kernel vector that fails A x = 0 is a verification failure (exit 1)
+    naming the tree, not a usage error (exit 2)."""
+    monkeypatch.delenv("AMM_THREADS", raising=False)
+    monkeypatch.setattr(matchings_module, "_in_kernel", lambda nbr, x: False)
+    assert main(["census", "--n-max", "6", "--out", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "verification failure: leaf-matching kernel vector with A x != 0" in err
+    assert f"certificates: {write_graph6(path(2))}" in err  # the first tree ranked
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_compare_detects_corruption(tmp_path, capsys):

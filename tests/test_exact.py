@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from avgmix.enumeration import enumerate_trees, random_tree
-from avgmix.errors import DomainError
+from avgmix.errors import ConsistencyError, DomainError
 from avgmix.exact import (
     amm_rank,
     average_mixing_exact,
@@ -18,9 +18,12 @@ from avgmix.exact import (
     rat_matrix_to_csv,
     rat_matrix_to_json,
     strongly_cospectral_pairs,
+    walk_rank,
     weighted_projector_schur_sum,
 )
+from avgmix.graph6 import write_graph6
 from avgmix.graphs import Graph, path, rooted_product_k2, star
+from avgmix.matchings import forest_matching_counts, kernel_basis, nonzero_eigenvalues_simple
 from avgmix.verify import non_tree_graphs, run_suite
 
 HALF = Fraction(1, 2)
@@ -127,6 +130,44 @@ def test_amm_rank_equals_exact_rank():
     graphs += non_tree_graphs()
     for g in graphs:
         assert amm_rank(g) == average_mixing_exact(g).rank, g.edges
+
+
+def _covered(trees):
+    """(tree, matching counts) of the trees whose nonzero eigenvalues are simple."""
+    for t in trees:
+        counts = forest_matching_counts(t)
+        if nonzero_eigenvalues_simple(counts):
+            yield t, counts
+
+
+def test_walk_rank_equals_amm_rank():
+    import random
+
+    for t, counts in _covered(t for n in range(1, 14) for t in enumerate_trees(n)):
+        assert walk_rank(t, counts) == amm_rank(t), t.edges
+    for t, counts in _covered(t for n in range(1, 10) for t in enumerate_trees(n)):
+        assert walk_rank(t, counts) == average_mixing_exact(t).rank, t.edges
+    rng = random.Random(21)
+    covered = list(_covered(random_tree(n, rng) for n in (20, 24, 30, 40, 60) for _ in range(8)))
+    assert len(covered) >= 20
+    for t, counts in covered:
+        assert walk_rank(t, counts) == amm_rank(t), t.edges
+
+
+def test_kernel_basis_on_paths_stars_and_tstar(tstar):
+    for t in [path(m) for m in range(1, 10)] + [star(m) for m in range(2, 10)] + [tstar]:
+        counts = forest_matching_counts(t)
+        x, _ = kernel_basis(t, counts)
+        k = t.n - 2 * (len(counts) - 1)
+        assert len(x) == t.n and all(len(row) == k for row in x)
+        adj = t.adjacency()
+        assert all(sum(a * xw[j] for a, xw in zip(adj_u, x)) == 0 for adj_u in adj for j in range(k))
+        assert exact_rank(x) == k  # the k columns are independent
+    assert kernel_basis(path(5), forest_matching_counts(path(5)))[0] == [[1], [0], [-1], [0], [1]]
+    assert len(kernel_basis(tstar, forest_matching_counts(tstar))[0][0]) == 0
+    # a DP that disagrees with the greedy on nu is a broken invariant
+    with pytest.raises(ConsistencyError, match=write_graph6(path(4))):
+        kernel_basis(path(4), [1, 3])
 
 
 def test_coefficient_matrix_p3():
