@@ -427,22 +427,9 @@ def rat_matrix_to_csv(mat: RatMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rat_matrix_from_csv(text: str) -> RatMatrix:
-    rows = []
-    for line in text.splitlines():
-        if line.strip():
-            rows.append([Fraction(tok) for tok in line.split(",")])
-    return rows
-
-
 def rat_matrix_to_json(mat: RatMatrix) -> str:
     obj = [
         [{"num": Fraction(c).numerator, "den": Fraction(c).denominator} for c in row]
         for row in mat
     ]
     return json.dumps(obj)
-
-
-def rat_matrix_from_json(text: str) -> RatMatrix:
-    obj = json.loads(text)
-    return [[Fraction(e["num"], e["den"]) for e in row] for row in obj]

@@ -105,11 +105,7 @@ class Graph:
         """Induced subgraph on V minus u, remaining vertices relabelled in order."""
         if not 0 <= u < self.n:
             raise GraphInputError(f"vertex {u} out of range")
-        if self.n == 1:
-            raise GraphInputError("cannot delete the only vertex")
-        relabel = [v if v < u else v - 1 for v in range(self.n)]
-        edges = [(relabel[a], relabel[b]) for a, b in self.edges if a != u and b != u]
-        return Graph(self.n - 1, tuple(edges))
+        return self.induced(v for v in range(self.n) if v != u)
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph on the given vertices, relabelled in sorted order."""

@@ -277,16 +277,6 @@ class LowerBoundCertificate:
     closed_form_det: int
     graph6: str
 
-    def to_json_obj(self) -> dict:
-        return {
-            "case": self.case,
-            "vertices": list(self.vertices),
-            "submatrix": [list(row) for row in self.submatrix],
-            "det": self.det,
-            "closed_form_det": self.closed_form_det,
-            "graph6": self.graph6,
-        }
-
 
 def _det3(rows) -> int:
     (a, b, c), (d, e, f), (g, h, i) = rows

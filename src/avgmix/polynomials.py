@@ -2,7 +2,7 @@
 
 Polynomials are plain lists of coefficients in ascending degree order with
 no trailing zeros; the empty list is the zero polynomial.  IntPoly entries
-are Python ints; only the text reader and a root sum give fractions.
+are Python ints; only a root sum gives fractions.
 
 Besides the arithmetic toolkit this module houses the one Horner
 recurrence of a graph's adjacency matrix, whose matrices give adj(tI - A)
@@ -234,7 +234,7 @@ def squarefree_part(p: IntPoly) -> IntPoly:
         raise DomainError("zero polynomial has no squarefree part")
     q, r = poly_pseudo_divmod(poly_primitive(p), poly_gcd_int(p, poly_derivative(p)))
     if r:
-        raise ConsistencyError(f"gcd failed to divide its argument: {poly_to_text(p)}")
+        raise ConsistencyError(f"gcd failed to divide its argument: {p}")
     return poly_primitive(q)
 
 
@@ -364,21 +364,3 @@ class RootSumContext:
         s = poly_mod_monic_int(poly_mul(s, self.inv_scaled), self.psi)
         total = sum(s[k] * self.powers[k] for k in range(len(s)))
         return Fraction(total, self.denom)
-
-
-# ---------------------------------------------------------------------------
-# text form
-
-
-def poly_to_text(p) -> str:
-    """Ascending coefficient list, blank-separated; zero polynomial -> "0"."""
-    if not p:
-        return "0"
-    return " ".join(str(c) for c in p)
-
-
-def poly_from_text(text: str) -> list[Fraction]:
-    parts = text.split()
-    if parts == ["0"] or not parts:
-        return []
-    return normalize([Fraction(s) for s in parts])

@@ -1,13 +1,14 @@
 """Pendant rooted products and the low-rank tree family built from them.
 
-Attaching a pendant vertex to every vertex of a graph X with all
-eigenvalues distinct doubles the vertex count, keeps the spectrum simple
-(each eigenvalue lambda splits into the two roots of t^2 - lambda t - 1),
-and transforms the average mixing matrix by an explicit block formula
+Attaching a pendant vertex to every vertex of a graph X maps each
+eigenvalue theta to the two roots of t^2 - theta t - 1, with the same
+multiplicity, and transforms the average mixing matrix by an explicit
+block formula
 
-    [[M - N, N], [N, M - N]],   N = sum_i 2/(lambda_i^2 + 4) F_i o F_i,
+    [[M - N, N], [N, M - N]],   N = sum_theta 2/(theta^2 + 4) E_theta o E_theta,
 
-which this module evaluates exactly and cross-checks against the direct
+over the distinct eigenvalues theta of X, whatever their multiplicities.
+This module evaluates it exactly and cross-checks it against the direct
 computation.  Iterating the construction from a distinguished 18-vertex
 starting tree produces trees whose average-mixing rank falls further and
 further below the ceil(n/2) ceiling.
@@ -121,15 +122,34 @@ def rooted_product_char_poly(phi: IntPoly, n: int) -> IntPoly:
 
 
 def amm_rooted_product_exact(x: Graph) -> RatMatrix:
-    """Average mixing matrix of X-with-pendants via the block formula.
+    """Average mixing matrix of X-with-pendants via the block formula, for
+    any graph X; equals the direct exact computation on rooted_product_k2(x)
+    entry for entry.
 
-    Requires X to have all eigenvalues distinct; equals the direct exact
-    computation on rooted_product_k2(x) entry for entry.
+    Proof.  The pendant product has adjacency [[A, I], [I, 0]].  Let theta
+    be an eigenvalue of A with projector E_theta, of any rank, and mu a root
+    of mu^2 - theta mu - 1.  For every y with A y = theta y,
+
+        [[A, I], [I, 0]] (mu y, y) = (mu theta y + y, mu y) = mu (mu y, y).
+
+    The two roots are real and distinct, and distinct theta give distinct
+    mu, since theta = mu - 1/mu.  So over both roots of every theta these
+    vectors fill 2n dimensions, the mu-eigenspace is exactly {(mu y, y)},
+    and an orthonormal basis Y of theta's eigenspace gives the orthonormal
+    basis (mu Y, Y)/sqrt(mu^2 + 1) of mu's.  Hence
+
+        F_mu = [[mu^2 E_theta, mu E_theta], [mu E_theta, E_theta]] / (mu^2 + 1).
+
+    Sum F_mu o F_mu over both roots, with a = mu^2 for one root and 1/a for
+    the other (their product is -1).  The off-diagonal blocks carry
+    2a/(a + 1)^2 E_theta o E_theta = 2/(theta^2 + 4) E_theta o E_theta, as
+    (a + 1)^2/a = a + 1/a + 2 and a + 1/a = (sum of the roots)^2 + 2 =
+    theta^2 + 2.  Both diagonal blocks carry (1 + a^2)/(a + 1)^2 =
+    1 - 2/(theta^2 + 4) times E_theta o E_theta.  Summing over theta, with
+    M = sum_theta E_theta o E_theta, gives [[M - N, N], [N, M - N]].
+    Nowhere is rank E_theta = 1 used.
     """
-    amm = average_mixing_exact(x)
-    if not amm.simple:
-        raise DomainError("block formula requires distinct eigenvalues")
-    mh = amm.matrix
+    mh = average_mixing_exact(x).matrix
     nmat = weighted_projector_schur_sum(x, [2], [4, 0, 1])
     n = x.n
     out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]

@@ -327,13 +327,14 @@ def suite_coefficient(r: _Runner, n_max: int):
 
 
 def suite_rooted(r: _Runner, n_max: int):
-    bad = 0
-    count = 0
-    for t in _simple_trees(2, n_max):
-        count += 1
-        if amm_rooted_product_exact(t) != average_mixing_exact(rooted_product_k2(t)).matrix:
-            bad += 1
-    r.check(f"block formula equals direct computation on {count} simple trees", bad == 0)
+    graphs = [t for n in range(1, n_max + 1) for t in enumerate_trees(n)] + non_tree_graphs()
+    bad = [
+        write_graph6(g) for g in graphs
+        if amm_rooted_product_exact(g) != average_mixing_exact(rooted_product_k2(g)).matrix
+    ]
+    r.check(f"block formula equals direct computation on every tree n<={n_max}, cycles, "
+            f"complete and empty graphs ({len(graphs)} graphs)", not bad,
+            " ".join([f"{len(bad)} bad", *bad[:3]]))
 
     bad = 0
     for t in _simple_trees(2, min(n_max, 8)):

@@ -178,9 +178,3 @@ def test_certificates_exhaustive_to_ten():
             assert cert.det != 0 and cert.det == cert.closed_form_det
             seen.add(cert.case)
     assert seen == {"C1", "C2", "C3"}
-
-
-def test_certificate_json_shape():
-    obj = lower_bound_certificate(path(6)).to_json_obj()
-    assert set(obj) == {"case", "vertices", "submatrix", "det", "closed_form_det", "graph6"}
-    assert obj["graph6"]

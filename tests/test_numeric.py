@@ -116,21 +116,6 @@ def test_numeric_rank():
             assert numeric_rank(average_mixing_float(t)) == average_mixing_exact(t).rank
 
 
-def test_projectors_and_gap_simplicity_to_twelve():
-    # clustering at the default tolerance reproduces the exact simplicity
-    # flag, and the cluster projectors behave, for every tree to order 12
-    from avgmix.polynomials import char_poly, is_squarefree
-
-    for n in range(2, 13):
-        for t in enumerate_trees(n):
-            clusters = spectral_decomp(t)
-            assert (len(clusters) == t.n) == is_squarefree(char_poly(t))
-            total = sum(p for _, p in clusters)
-            assert np.max(np.abs(total - np.eye(t.n))) < 1e-9
-            for _, p in clusters:
-                assert np.max(np.abs(p @ p - p)) < 1e-9
-
-
 def test_empty_graph_mixing_is_identity():
     g = Graph(4, ())
     assert np.allclose(average_mixing_float(g), np.eye(4))

@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import avgmix.polynomials as polynomials_module
@@ -17,13 +16,10 @@ from avgmix.polynomials import (
     is_squarefree,
     poly_add,
     poly_derivative,
-    poly_eval,
-    poly_from_text,
     poly_gcd_int,
     poly_inverse_mod_int,
     poly_mod_monic_int,
     poly_mul,
-    poly_to_text,
     power_sums,
     squarefree_part,
     trace_over_roots,
@@ -215,25 +211,6 @@ def test_trace_over_roots_scaling_invariance():
     assert trace_over_roots([1], [5, 1], [-3, -3, 3]) == Fraction(11, 29)
 
 
-def test_trace_over_roots_float_oracle():
-    rng = random.Random(77)
-    done = 0
-    while done < 200:
-        psi = [rng.randint(-5, 5) for _ in range(rng.randint(1, 12))] + [1]
-        if not is_squarefree(psi):
-            continue
-        num = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
-        den = [rng.randint(1, 5), 0, 1]
-        try:
-            exact = trace_over_roots(num, den, psi)
-        except DomainError:
-            continue  # denominator shares a complex root pair with psi
-        roots = np.roots(list(reversed(psi)))
-        approx = complex(sum(poly_eval(num, z) / poly_eval(den, z) for z in roots))
-        assert abs(float(exact) - approx.real) + abs(approx.imag) < 1e-9 * max(1.0, abs(float(exact)))
-        done += 1
-
-
 def _inverse(f, psi):
     """poly_inverse_mod_int(f, psi), checked by multiplying back."""
     u, denom = poly_inverse_mod_int(f, psi)
@@ -295,11 +272,3 @@ def test_squarefree_part_broken_gcd_is_a_consistency_error(monkeypatch):
 def test_rooted_product_char_poly_by_hand():
     # P2 with pendants = P4: t^2 ((t - 1/t)^2 - 1) = t^4 - 3t^2 + 1
     assert char_poly(rooted_product_k2(path(2))) == [1, 0, -3, 0, 1]
-
-
-def test_text_form():
-    assert poly_to_text([1, 0, -3, 0, 1]) == "1 0 -3 0 1"
-    assert poly_to_text([]) == "0"
-    assert poly_from_text("0") == []
-    assert poly_from_text("1 0 -3 0 1") == [1, 0, -3, 0, 1]
-    assert poly_from_text("1/2 3") == [Fraction(1, 2), Fraction(3)]

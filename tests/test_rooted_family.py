@@ -65,12 +65,11 @@ def test_block_formula_p2():
 
 
 def test_block_formula_rejects_repeated_spectrum():
-    with pytest.raises(DomainError):
-        amm_rooted_product_exact(star(4))
-    with pytest.raises(DomainError):  # C4: not a forest, eigenvalue 0 twice
-        amm_rooted_product_exact(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-    # P3 has squarefree char poly and is accepted
-    assert amm_rooted_product_exact(path(3)) == average_mixing_exact(rooted_product_k2(path(3))).matrix
+    # The block formula takes repeated spectra too: star(4) and C4 (not a
+    # forest) have the eigenvalue 0 twice, P3 has a squarefree char poly.
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    for g in (star(4), c4, path(3)):
+        assert amm_rooted_product_exact(g) == average_mixing_exact(rooted_product_k2(g)).matrix
 
 
 def test_block_formula_equals_direct_exhaustive_small():
