@@ -3,6 +3,8 @@
 Subcommands: census, rank, matrix, family, find-tstar, verify, compare.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 The AMM_THREADS environment variable overrides any --threads flag.
+`family` starts from the built-in 18-vertex tree t* and writes no file;
+`find-tstar` always runs the search that finds t*.
 """
 
 from __future__ import annotations
@@ -30,9 +32,16 @@ from .verify import SUITES, run_suite
 
 def _threads(args) -> int:
     env = os.environ.get("AMM_THREADS")
-    threads = int(env) if env else getattr(args, "threads", 1)
+    if not env:
+        if args.threads < 1:
+            raise ValueError("threads must be positive")
+        return args.threads
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
     if threads < 1:
-        raise ValueError("threads must be positive")
+        raise ValueError(f"AMM_THREADS must be a positive integer, got {env!r}")
     return threads
 
 
@@ -118,19 +127,14 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    members = build_family(
-        args.iterations,
-        vertex_cap=args.vertex_cap,
-        cache_path=args.cache,
-        threads=_threads(args),
-    )
+    members = build_family(args.iterations, vertex_cap=args.vertex_cap)
     _write_or_print(family_report_csv(members), args.out)
     return 0
 
 
 def _cmd_find_tstar(args) -> int:
     progress = _progress(args.verbose, "scanned {} trees")
-    t = find_t_star(args.cache, threads=_threads(args), progress=progress)
+    t = find_t_star(threads=_threads(args), progress=progress)
     print(f"found: {write_graph6(t)}")
     return 0
 
@@ -180,13 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("family", help="iterated pendant family report")
     f.add_argument("--iterations", type=int, default=2)
     f.add_argument("--vertex-cap", type=int, default=144)
-    f.add_argument("--cache", default="t_star.g6")
-    f.add_argument("--threads", type=int, default=1)
     f.add_argument("--out")
     f.set_defaults(fn=_cmd_family)
 
     t = sub.add_parser("find-tstar", help="search the 18-vertex low-rank tree")
-    t.add_argument("--cache", default="t_star.g6")
     t.add_argument("--threads", type=int, default=1)
     t.add_argument("--verbose", action="store_true")
     t.set_defaults(fn=_cmd_find_tstar)

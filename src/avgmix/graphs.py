@@ -130,8 +130,8 @@ class Tree(Graph):
     Two constructors, one result: equal, equally hashed and pickled the
     same for the same tree.  `Tree(n, edges)` takes any edge list and runs
     the full check (edge normalisation, then n - 1 edges and one spanning
-    forest traversal for connectivity); graph6 and edge-list input, the t*
-    cache, `random_tree` and `rooted_product_k2` go through it.
+    forest traversal for connectivity); graph6 and edge-list input, t*
+    included, `random_tree` and `rooted_product_k2` go through it.
     `Tree.from_parents(parent)` takes a parent array and is checked in
     O(n) with no traversal; the enumerator and `path` and `star` use it.
     """

@@ -10,15 +10,16 @@ block formula
 over the distinct eigenvalues theta of X, whatever their multiplicities.
 This module evaluates it exactly and cross-checks it against the direct
 computation.  Iterating the construction from a distinguished 18-vertex
-starting tree produces trees whose average-mixing rank falls further and
-further below the ceil(n/2) ceiling.
+starting tree t*, held as the checked constant `TSTAR_GRAPH6`, produces
+trees whose average-mixing rank falls further and further below the
+ceil(n/2) ceiling.  `find_t_star` is the exhaustive search that finds t*
+as the only simple tree on 18 vertices below that ceiling.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,9 +44,11 @@ from .matchings import forest_matching_counts, matching_number, simple_from_matc
 # is_squarefree is not called here; perfbench/layers.py wraps avgmix.rooted_family:is_squarefree
 from .polynomials import IntPoly, char_poly, is_squarefree, poly_add, poly_mul, poly_scale, poly_shift
 
-# Factors of the characteristic polynomial of the distinguished 18-vertex
-# tree, ascending coefficients; their expanded product is the acceptance
-# fingerprint for the search below.
+# The distinguished 18-vertex tree t*, as found by `find_t_star`.
+TSTAR_GRAPH6 = "QhD?I?@_??_@?@_???G?@??E???"
+
+# Factors of t*'s characteristic polynomial, ascending coefficients; their
+# expanded product is the fingerprint that both `tstar` and the search check.
 TSTAR_CHARPOLY_FACTORS: list[IntPoly] = [
     [-1, 1],                    # x - 1
     [1, 1],                     # x + 1
@@ -217,14 +220,12 @@ def search_low_rank_simple_trees(
     return hits
 
 
-def load_t_star(path: str) -> Tree:
-    """Read the cached tree and re-verify its characteristic polynomial."""
-    with open(path, "r", encoding="ascii") as fh:
-        line = fh.readline().strip()
-    g = parse_graph6(line)
+def tstar() -> Tree:
+    """t*, parsed from `TSTAR_GRAPH6`, with its characteristic polynomial checked."""
+    g = parse_graph6(TSTAR_GRAPH6)
     t = Tree(g.n, g.edges)
-    if t.n != _SEARCH_ORDER or char_poly(t) != tstar_charpoly():
-        raise ConsistencyError("cached tree fails the characteristic polynomial check", [line])
+    if char_poly(t) != tstar_charpoly():
+        raise ConsistencyError("t* fails the characteristic polynomial check", [TSTAR_GRAPH6])
     return t
 
 
@@ -244,28 +245,18 @@ def confirm_unique_low_rank_tree(hits: list[tuple[int, Tree]]) -> Tree:
     return t
 
 
-def find_t_star(cache_path: str | None = None, threads: int = 1, progress=None) -> Tree:
+def find_t_star(threads: int = 1, progress=None) -> Tree:
     """The unique 18-vertex tree with simple eigenvalues and average-mixing rank 8.
 
-    Runs the exhaustive scan (long: ~124k trees) unless a verified cache
-    file is present; on success the tree's characteristic polynomial must
-    equal the expanded factor product, and the discovered graph6 line is
-    written to the cache through a temporary file and `os.replace`, so an
-    interrupted write never leaves a partial cache behind.
+    Always runs the exhaustive scan over the 123,867 trees of order 18;
+    the one hit must have rank 8 and the characteristic polynomial
+    `tstar_charpoly()`.  The family does not call this: it starts from the
+    constant `tstar()`, and the tests check that the two agree.
     """
-    if cache_path and os.path.exists(cache_path):
-        return load_t_star(cache_path)
     hits = search_low_rank_simple_trees(
         _SEARCH_ORDER, _SEARCH_RANK_CEILING, threads=threads, progress=progress,
     )
-    t = confirm_unique_low_rank_tree(hits)
-    if cache_path:
-        line = write_graph6(t) + "\n"
-        tmp = cache_path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(line)
-        os.replace(tmp, cache_path)
-    return t
+    return confirm_unique_low_rank_tree(hits)
 
 
 @dataclass
@@ -291,14 +282,9 @@ class FamilyMember:
         return 2**self.index
 
 
-def build_family(
-    k: int,
-    vertex_cap: int = 144,
-    cache_path: str | None = None,
-    threads: int = 1,
-    base: Tree | None = None,
-) -> list[FamilyMember]:
-    """Members 0..k of the iterated pendant family rooted at the 18-vertex tree.
+def build_family(k: int, vertex_cap: int = 144, base: Tree | None = None) -> list[FamilyMember]:
+    """Members 0..k of the iterated pendant family rooted at `base`, by default
+    the 18-vertex tree `tstar()`; no search runs.
 
     Each member is ranked by `census.classify_tree`, which ranks a simple
     tree by `exact.walk_rank`; a member that is not simple raises
@@ -322,10 +308,10 @@ def build_family(
     """
     if k < 0:
         raise ValueError(f"family index must be non-negative, got {k}")
-    order = (18 if base is None else base.n) * 2**k
+    g = base if base is not None else tstar()
+    order = g.n * 2**k
     if order > vertex_cap:
         raise ValueError(f"family member {k} needs {order} vertices, above the cap {vertex_cap}")
-    g = base if base is not None else find_t_star(cache_path, threads=threads)
     members = []
     for i in range(k + 1):
         rank, simple = classify_tree(g, "coeff-fast")

@@ -1,7 +1,7 @@
 import pytest
 
 from avgmix.census import census
-from avgmix.rooted_family import confirm_unique_low_rank_tree, search_low_rank_simple_trees
+from avgmix.rooted_family import search_low_rank_simple_trees, tstar as tstar_constant
 
 
 @pytest.fixture(scope="session")
@@ -13,8 +13,9 @@ def tstar_hits():
 
 
 @pytest.fixture(scope="session")
-def tstar(tstar_hits):
-    return confirm_unique_low_rank_tree(tstar_hits)
+def tstar():
+    """t* from its checked constant; no search runs."""
+    return tstar_constant()
 
 
 @pytest.fixture(scope="session")

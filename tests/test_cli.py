@@ -93,16 +93,19 @@ def test_census_usage_error(tmp_path, monkeypatch, capsys):
     for threads in ("0", "-1"):
         assert main(["census", "--n-max", "3", "--threads", threads]) == 2
         assert "threads" in capsys.readouterr().err
-    cache = str(tmp_path / "t_star.g6")
-    assert main(["find-tstar", "--cache", cache, "--threads", "0"]) == 2
-    assert main(["family", "--cache", cache, "--threads", "0"]) == 2
+    assert main(["find-tstar", "--threads", "0"]) == 2
+    for argv in (["family", "--threads", "2"], ["family", "--cache", "t.g6"], ["find-tstar", "--cache", "t.g6"]):
+        with pytest.raises(SystemExit) as exc:  # the options are gone
+            main(argv)
+        assert exc.value.code == 2
     ck = tmp_path / "ck.json"
     ck.write_text('{"version": 1, "n_min": 2, "n_max": 3, "method": "coeff-fast", "chunk_size": 1024}')
     assert main(["census", "--n-max", "3", "--checkpoint", str(ck)]) == 2
     assert "ck.json" in capsys.readouterr().err
-    monkeypatch.setenv("AMM_THREADS", "0")
-    assert main(["census", "--n-max", "3"]) == 2
-    assert "threads" in capsys.readouterr().err
+    for env in ("0", "abc"):
+        monkeypatch.setenv("AMM_THREADS", env)
+        assert main(["census", "--n-max", "3", "--threads", "4"]) == 2
+        assert f"AMM_THREADS must be a positive integer, got '{env}'" in capsys.readouterr().err
 
 
 def test_census_tree_count_mismatch_exits_1(tmp_path, monkeypatch, capsys):
@@ -154,9 +157,10 @@ def test_family_negative_index_exits_2(tmp_path, monkeypatch, capsys):
         raise AssertionError("the t* search must not run")
 
     monkeypatch.setattr(rooted_family, "search_low_rank_simple_trees", no_search)
-    cache = str(tmp_path / "t_star.g6")
-    assert main(["family", "--iterations", "-1", "--cache", cache]) == 2
+    monkeypatch.chdir(tmp_path)
+    assert main(["family", "--iterations", "-1"]) == 2
     assert "non-negative" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_broken_invariant_exits_1(monkeypatch, capsys):
@@ -214,38 +218,37 @@ def test_verify_cli(monkeypatch, capsys):
     assert lines == ["== suite a (T s)", "ok   n_max=3", "== suite b (T s)", "ok   n_max=4", "PASS (T s)"]
 
 
-def test_family_cli_with_cache(tmp_path, tstar, capsys):
-    cache = tmp_path / "t_star.g6"
-    cache.write_text(write_graph6(tstar) + "\n")
-    assert main(["family", "--iterations", "1", "--cache", str(cache)]) == 0
+def test_family_cli_with_cache(tmp_path, monkeypatch, capsys):
+    """`family` starts from the built-in t*: no search runs and no file is
+    written into the working directory."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the t* search must not run")
+
+    monkeypatch.setattr(rooted_family, "search_low_rank_simple_trees", no_search)
+    monkeypatch.chdir(tmp_path)
+    assert main(["family", "--iterations", "1"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "i,n,rank,rank_bound,gap,gap_bound"
     assert "0,18,8,8,1,1" in out
     assert "1,36,16,16,2,2" in out
+    assert os.listdir(tmp_path) == []
 
 
-def test_family_vertex_cap(tmp_path, tstar, capsys):
-    cache = tmp_path / "t_star.g6"
-    cache.write_text(write_graph6(tstar) + "\n")
-    assert main(["family", "--iterations", "3", "--vertex-cap", "72", "--cache", str(cache)]) == 2
-
-
-def test_find_tstar_cached(tmp_path, tstar, capsys):
-    cache = tmp_path / "t_star.g6"
-    cache.write_text(write_graph6(tstar) + "\n")
-    assert main(["find-tstar", "--cache", str(cache)]) == 0
-    assert f"found: {write_graph6(tstar)}" in capsys.readouterr().out
+def test_family_vertex_cap(capsys):
+    assert main(["family", "--iterations", "3", "--vertex-cap", "72"]) == 2
+    assert "needs 144 vertices, above the cap 72" in capsys.readouterr().err
 
 
 def test_find_tstar_failure_lists_candidates(tmp_path, monkeypatch, capsys):
     hits = [(8, path(18)), (7, star(18))]
     monkeypatch.setattr(rooted_family, "search_low_rank_simple_trees", lambda *a, **k: hits)
-    cache = tmp_path / "t_star.g6"
-    assert main(["find-tstar", "--cache", str(cache)]) == 1
+    monkeypatch.chdir(tmp_path)
+    assert main(["find-tstar"]) == 1
     err = capsys.readouterr().err
     for rank, t in hits:
         assert f"({rank}, '{write_graph6(t)}')" in err
-    assert not cache.exists()
+    assert os.listdir(tmp_path) == []
 
 
 def test_threads_env_override(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from avgmix.errors import GraphInputError
 from avgmix.graph6 import parse_graph6, write_graph6
 from avgmix.graphs import Tree
 from avgmix.reference_data import REFERENCE_RANK_TABLE
+from avgmix.rooted_family import TSTAR_GRAPH6
 
 # Per-order totals of the published census tables (equal to the standard
 # unlabelled-tree counts).
@@ -98,7 +99,7 @@ def test_deterministic_order_and_index_partitioning():
     assert hashlib.sha256(stream.encode()).hexdigest() == (
         "b2f2c495d1c5678cb63db6cc57a984f0eb9c0e5ba7e1a9056075fd3bb809c22d"
     )
-    tstar = parse_graph6("QhD?I?@_??_@?@_???G?@??E???").edges
+    tstar = parse_graph6(TSTAR_GRAPH6).edges
     assert next(i for i, t in enumerate(enumerate_trees(18)) if t.edges == tstar) == 33_973
 
 

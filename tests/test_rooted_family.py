@@ -14,10 +14,12 @@ from avgmix.rooted_family import (
     amm_rooted_product_exact,
     build_family,
     k2_eigenbasis,
+    TSTAR_GRAPH6,
+    confirm_unique_low_rank_tree,
     k2_spectrum_map,
-    load_t_star,
     rooted_product_char_poly,
     search_low_rank_simple_trees,
+    tstar,
     tstar_charpoly,
 )
 
@@ -152,13 +154,14 @@ def test_tstar_charpoly_expansion():
     assert phi[0] == (-1) * 1 * (-1) * (-1) * 1 * (-1) * (-1)
 
 
-def test_build_family_ranks_and_gaps(tstar, tmp_path):
-    members = build_family(1, base=tstar)
+def test_build_family_ranks_and_gaps():
+    members = build_family(1)  # from t*, with no search
+    assert members[0].graph == tstar()
     assert [(m.n, m.rank, m.gap) for m in members] == [(18, 8, 1), (36, 16, 2)]
     assert members[0].rank_bound == 8 and members[1].rank_bound == 16
     assert members[1].gap >= members[1].gap_bound == 2
     with pytest.raises(ValueError):
-        build_family(4, base=tstar)  # 288 vertices above the default cap
+        build_family(4)  # 288 vertices above the default cap
     with pytest.raises(ValueError):
         build_family(2, vertex_cap=144, base=path(40))  # the base's own order counts: 160
 
@@ -180,32 +183,14 @@ def test_build_family_rank_doubling(monkeypatch):
         build_family(2, base=path(2))
 
 
-def test_tstar_cache_roundtrip(tstar, tmp_path):
+def test_tstar_constant_is_the_search_hit(tstar_hits, monkeypatch):
+    from avgmix import rooted_family
     from avgmix.graph6 import write_graph6
 
-    cache = tmp_path / "t_star.g6"
-    cache.write_text(write_graph6(tstar) + "\n")
-    again = load_t_star(str(cache))
-    assert again.edges == tstar.edges
-    bad = tmp_path / "bad.g6"
-    from avgmix.graph6 import write_graph6 as w6
-
-    bad.write_text(w6(path(18)) + "\n")
-    with pytest.raises(ConsistencyError):
-        load_t_star(str(bad))
-
-
-def test_tstar_cache_is_never_left_partial(tstar_hits, tmp_path, monkeypatch):
-    """A cache write that fails leaves no cache file, so the next run scans
-    again instead of failing on an empty graph6 line."""
-    from avgmix import rooted_family
-
-    def broken(t):
-        raise OSError("write interrupted")
-
-    monkeypatch.setattr(rooted_family, "search_low_rank_simple_trees", lambda *a, **k: tstar_hits)
-    monkeypatch.setattr(rooted_family, "write_graph6", broken)
-    cache = tmp_path / "t_star.g6"
-    with pytest.raises(OSError):
-        rooted_family.find_t_star(str(cache))
-    assert not cache.exists()
+    assert write_graph6(confirm_unique_low_rank_tree(tstar_hits)) == TSTAR_GRAPH6
+    assert tstar() == tstar_hits[0][1]
+    wrong = write_graph6(path(18))
+    monkeypatch.setattr(rooted_family, "TSTAR_GRAPH6", wrong)
+    with pytest.raises(ConsistencyError, match="characteristic polynomial") as exc:
+        tstar()
+    assert exc.value.certificates == [wrong]
