@@ -11,11 +11,11 @@ from avgmix.matchings import counts_to_char_poly, forest_matching_counts, simple
 from avgmix.numeric import eigh
 from avgmix.polynomials import char_poly, is_squarefree
 from avgmix.rooted_family import (
+    TSTAR_GRAPH6,
     amm_rooted_product_exact,
     build_family,
-    k2_eigenbasis,
-    TSTAR_GRAPH6,
     confirm_unique_low_rank_tree,
+    k2_eigenbasis,
     k2_spectrum_map,
     rooted_product_char_poly,
     search_low_rank_simple_trees,
