@@ -252,15 +252,26 @@ def records_to_csv(records) -> str:
 
 
 def records_from_csv(text: str) -> list[CensusRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    """The records of a `records_to_csv` text.  ValueError, naming the line,
+    for a row without four integer fields, a negative field, more simple
+    trees than trees, or a repeated cell; blank lines are skipped."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"census CSV must start with header {CSV_HEADER!r}")
     out = []
     seen = set()
-    for ln in lines[1:]:
-        n, rank, trees, simple = map(int, ln.split(","))
+    for i, ln in lines[1:]:
+        where = f"census CSV line {i} {ln!r}"
+        try:  # a wrong field count or a non-integer field
+            n, rank, trees, simple = map(int, ln.split(","))
+        except ValueError:
+            raise ValueError(f"{where}: need four integer fields {CSV_HEADER}") from None
+        if min(n, rank, trees, simple) < 0:
+            raise ValueError(f"{where}: negative field")
+        if simple > trees:
+            raise ValueError(f"{where}: more simple trees than trees")
         if (n, rank) in seen:
-            raise ValueError(f"census CSV repeats the cell n={n}, rank={rank}")
+            raise ValueError(f"{where} repeats the cell n={n}, rank={rank}")
         seen.add((n, rank))
         out.append(CensusRecord(n, rank, trees, simple))
     return out

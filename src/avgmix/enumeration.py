@@ -22,7 +22,11 @@ A depth sequence is a preorder, so each vertex's parent is the latest
 vertex one level up, and always has a smaller label.  Trees leave as that
 parent array through `Tree.from_parents`, whose O(n) check
 (0 <= parent[i] < i) already proves a tree, so the enumerator never
-re-normalises edges or traverses what it built.
+re-normalises edges or traverses what it built.  The array is assembled
+from its subtrees: a rooted sequence placed at an offset, hanging from
+vertex 0, always contributes the same run of entries, so each such run is
+built once and cached (`_placed`).  Labels that grow away from the root
+also let `Graph.spanning_forest` read every enumerated tree off its edges.
 """
 
 from __future__ import annotations
@@ -83,26 +87,39 @@ def _sequence_to_parents(seq: Sequence[int]) -> list[int]:
     return parent
 
 
+@functools.lru_cache(maxsize=None)
+def _placed(sub: Seq, offset: int) -> tuple[int, ...]:
+    """Parent entries of the rooted tree `sub` placed at positions offset,
+    offset + 1, ... of a depth sequence with every depth raised by one, so
+    that its root hangs from vertex 0: the entries `_sequence_to_parents`
+    gives those positions."""
+    return (0,) + tuple(offset + p for p in _sequence_to_parents(sub)[1:])
+
+
 def enumerate_trees(n: int) -> Iterator[Tree]:
     """Yield one representative of every free tree on n vertices.
 
     Deterministic order; the stream may be chunked by index for parallel
     consumers.  Orders 1 and 2 need no case of their own: one vertex roots
     the empty forest, and one edge is the bicentroidal pair of vertices.
+    Each parent array is the one `_sequence_to_parents` gives the tree's
+    depth sequence, assembled from the cached runs of its subtrees.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     for forest in _forests(n - 1, (n - 1) // 2, None):
-        seq = [0]
+        parent = [-1]
         for sub in forest:
-            seq.extend(d + 1 for d in sub)
-        yield Tree.from_parents(_sequence_to_parents(seq))
+            parent += _placed(sub, len(parent))
+        yield Tree.from_parents(parent)
     if n % 2 == 0:
-        halves = _rooted_sequences(n // 2)
+        half = n // 2
+        halves = _rooted_sequences(half)
         for t1 in halves:
+            first = tuple(_sequence_to_parents(t1))
             for t2 in halves:
                 if t2 <= t1:
-                    yield Tree.from_parents(_sequence_to_parents(t1 + tuple(d + 1 for d in t2)))
+                    yield Tree.from_parents(first + _placed(t2, half))
 
 
 def free_tree_count(n: int) -> int:

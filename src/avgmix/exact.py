@@ -174,9 +174,12 @@ def walk_rank(x: Graph, counts: list[int]) -> int:
 
     Computation.  Row u of A^j is zero off the colour class
     c(u) xor (j mod 2), for the 2-colouring c of the spanning forest
-    that `kernel_basis` walked, so each row is kept as a list over that
-    class alone.  Step j builds row u as the sum of its neighbours' rows of
-    A^(j-1), and W_uj is the row's squared norm; nu steps suffice.
+    that `kernel_basis` walked, read parent-first along the forest's
+    order, so each row is kept as a list over that class alone.  Step j
+    builds row u as the sum of its neighbours' rows of A^(j-1), and W_uj
+    is the row's squared norm; nu steps suffice.  The kernel basis, and so
+    the Schur squares, may change with the labels; their span, and so the
+    rank, does not.
     """
     kernel, (order, parent) = kernel_basis(x, counts)
     colour = [0] * x.n

@@ -72,15 +72,34 @@ class Graph:
         return deg
 
     def spanning_forest(self) -> tuple[list[int], list[int]]:
-        """(preorder, parent) of one spanning forest, grown depth-first.
+        """(order, parent) of one spanning forest, the order parent-first:
+        every parent precedes its children.
 
-        Each least unreached vertex roots a tree (parent -1), and every other
-        vertex's parent is the vertex it was first reached from; a stack
-        visits each subtree whole, so a parent precedes its children.  There
-        is one root per connected component, and the graph is a forest
-        exactly when m = n - (number of roots).  Computed on every call and
+        Each component's least vertex roots a tree (parent -1).  There is one
+        root per connected component, and the graph is a forest exactly when
+        m = n - (number of roots).  Two routes, by the labels:
+
+          * edges: when no vertex is the larger end of two edges, each edge
+            (u, v) is v's parent edge, and the order is range(n), as every
+            parent is smaller than its children.  Such a graph is a forest,
+            since a cycle's largest vertex has two smaller neighbours.  Trees
+            from parent arrays (the enumerator's) and their graph6 parses
+            take this route, with no adjacency lists and no traversal.
+          * depth-first, for any other graph: every other vertex's parent is
+            the vertex it was first reached from, and the order is a
+            preorder, as a stack visits each subtree whole.
+
+        In a forest both routes give each vertex its neighbour towards the
+        component's least vertex as parent.  Computed on every call and
         never stored, so instances stay small to pickle.
         """
+        parent = [-1] * self.n
+        for u, v in self.edges:
+            if parent[v] >= 0:
+                break
+            parent[v] = u
+        else:
+            return list(range(self.n)), parent
         nbr = self.neighbors()
         parent = [-2] * self.n  # -2: not reached yet
         order = []
@@ -130,7 +149,7 @@ class Tree(Graph):
     Two constructors, one result: equal, equally hashed and pickled the
     same for the same tree.  `Tree(n, edges)` takes any edge list and runs
     the full check (edge normalisation, then n - 1 edges and one spanning
-    forest traversal for connectivity); graph6 and edge-list input, t*
+    forest for connectivity); graph6 and edge-list input, t*
     included, `random_tree` and `rooted_product_k2` go through it.
     `Tree.from_parents(parent)` takes a parent array and is checked in
     O(n) with no traversal; the enumerator and `path` and `star` use it.

@@ -4,12 +4,12 @@ rank lower-bound certificates.
 For a forest the characteristic polynomial carries the matching counts in
 its coefficients (coefficient of t^(n-2k) is (-1)^k m_k; Godsil & Gutman,
 J. Graph Theory 1981).  Both matching routines walk the graph's one
-traversal, `Graph.spanning_forest`, children first (reversed preorder),
-and share one domain: a graph is a forest exactly when m = n - (number of
-roots), and any other graph raises DomainError.  The counts come from
-folding each child into its parent's two count vectors; the caller hands
-`counts_to_char_poly` of them to `exact`, so one DP per tree gives both
-simplicity and rank.
+spanning forest, `Graph.spanning_forest`, children first (its
+parent-first order reversed), and share one domain: a graph is a forest
+exactly when m = n - (number of roots), and any other graph raises
+DomainError.  The counts come from folding each child into its parent's
+two count vectors; the caller hands `counts_to_char_poly` of them to
+`exact`, so one DP per tree gives both simplicity and rank.
 
 The matching number nu alone comes cheaper, in linear time, from greedy
 leaf matching (Karp & Sipser, FOCS 1981): the same leaf rule, run children
@@ -47,8 +47,8 @@ def _require_tree(t: Graph, what: str) -> None:
 
 
 def _forest(g: Graph) -> tuple[list[int], list[int]]:
-    """g's spanning forest (preorder, parent), or DomainError unless g is
-    that forest, i.e. m = n - (number of roots)."""
+    """g's spanning forest (order, parent), the order parent-first, or
+    DomainError unless g is that forest, i.e. m = n - (number of roots)."""
     order, parent = g.spanning_forest()
     if g.m != g.n - parent.count(-1):
         raise DomainError("matching counts and leaf matching need an acyclic graph")
@@ -59,11 +59,12 @@ def forest_matching_counts(g: Graph) -> list[int]:
     """Counts (m_0, m_1, ..., m_M) of k-edge matchings of a forest.
 
     Trailing zero counts are stripped, so the last entry belongs to a
-    maximum matching.  DomainError unless g is a forest.  Over the reversed
-    preorder of the spanning forest, each vertex's subtree is complete when
-    it is reached, and is folded into its parent p.  Every vertex holds two
-    count vectors, A (all matchings of its subtree) and F (those leaving
-    the vertex free), from A = F = [1]; a child c folds in as
+    maximum matching.  DomainError unless g is a forest.  Children first,
+    over the spanning forest's parent-first order reversed, each vertex's
+    subtree is complete when it is reached, and is folded into its parent
+    p.  Every vertex holds two count vectors, A (all matchings of its
+    subtree) and F (those leaving the vertex free), from A = F = [1]; a
+    child c folds in as
 
         A_p <- A_p*A_c + x*F_p*F_c,    F_p <- F_p*A_c
 
@@ -122,17 +123,19 @@ def simple_from_matching_counts(n: int, counts: list[int]) -> bool:
 def leaf_matching(g: Graph) -> tuple[int, list[tuple[int, int]], tuple[list[int], list[int]]]:
     """(nu, pairs, forest): a maximum matching of a forest by greedy leaf
     matching, its size nu, its edges as (leaf v, partner p) in the order
-    matched, and the spanning forest (preorder, parent) the greedy walked.
+    matched, and the spanning forest (order, parent) the greedy walked,
+    its order parent-first.
 
     A leaf lies on an edge of some maximum matching together with its one
     neighbour, so matching each leaf to its neighbour and deleting both
     until no edge is left yields a maximum matching (Karp & Sipser, FOCS
-    1981).  Run children first over the spanning forest, the same rule
-    reads: a vertex still free when its subtree is done has lost every
-    child to an earlier pair, so it is a leaf (or isolated) in what is left,
-    and it is matched to its parent if the parent is free.  The vertices
-    left free are pairwise non-adjacent: of two adjacent ones, the child
-    would have been matched to the parent.  DomainError unless g is a
+    1981).  Run children first over the spanning forest (its parent-first
+    order reversed, so every vertex comes after all its descendants), the
+    same rule reads: a vertex still free when its subtree is done has lost
+    every child to an earlier pair, so it is a leaf (or isolated) in what
+    is left, and it is matched to its parent if the parent is free.  The
+    vertices left free are pairwise non-adjacent: of two adjacent ones, the
+    child would have been matched to the parent.  DomainError unless g is a
     forest.  Linear time.
     """
     order, parent = forest = _forest(g)
@@ -185,7 +188,11 @@ def kernel_basis(g: Graph, counts: list[int]) -> tuple[list[list[int]], tuple[li
     vectors as basis.  Back-substituting through the pairs in reverse
     order, x_p = 0 and x_v = -(sum over p's neighbours still present),
     extends each unit vector to x_j, which is 1 at the j-th free vertex
-    and 0 at the others, so the k vectors are independent.
+    and 0 at the others, so the k vectors are independent.  Any
+    children-first walk gives such pairs.  Which leaves it matches, and so which
+    basis comes out, depends on the walk's order, but the span is ker A
+    either way: on `star(m)` the edge route matches the last leaf, a
+    depth-first preorder the first.
 
     The greedy's nu must equal the DP's len(counts) - 1, and every x_j
     must satisfy A x_j = 0; either failure raises ConsistencyError with

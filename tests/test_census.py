@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -218,6 +219,20 @@ def test_csv_roundtrip_and_header():
     # a repeated cell is an error, not a silent overwrite of the first copy
     with pytest.raises(ValueError, match="n=6, rank=6"):
         records_from_csv(text + "6,6,1,0\n")
+    # every bad row is rejected with its line number, never read as data;
+    # the blank line still counts towards the numbering
+    header = "n,rank,trees,simple_trees\n2,2,1,1\n\n"
+    for row, reason in (
+        ("3,2,1", "need four integer fields"),
+        ("3,2,1,1,0", "need four integer fields"),
+        ("3,2,x,1", "need four integer fields"),
+        ("3,2,1.5,1", "need four integer fields"),
+        ("3,2,-1,0", "negative field"),
+        ("3,2,1,-1", "negative field"),
+        ("2,1,1,5", "more simple trees than trees"),
+    ):
+        with pytest.raises(ValueError, match=f"line 4 '{re.escape(row)}': {reason}"):
+            records_from_csv(header + row + "\n")
 
 
 def test_compare_flags_mismatches_with_certificates():

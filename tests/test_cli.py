@@ -196,6 +196,17 @@ def test_compare_detects_corruption(tmp_path, capsys):
     out.write_text(text + "6,6,1,0\n")
     assert main(["compare", str(out)]) == 2
     assert "repeats the cell n=6, rank=6" in capsys.readouterr().err
+    # a malformed row is a usage error naming its line, never a MISMATCH
+    for row, reason in (
+        ("2,1,1,5", "more simple trees than trees"),
+        ("2,1,x,1", "need four integer fields"),
+        ("2,1,1", "need four integer fields"),
+        ("2,1,-1,0", "negative field"),
+    ):
+        out.write_text(f"n,rank,trees,simple_trees\n{row}\n")
+        assert main(["compare", str(out)]) == 2, row
+        captured = capsys.readouterr()
+        assert f"line 2 '{row}': {reason}" in captured.err and "MISMATCH" not in captured.out
 
 
 def test_verify_cli(monkeypatch, capsys):

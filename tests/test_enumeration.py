@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from avgmix.enumeration import enumerate_trees, free_tree_count, random_tree
+from avgmix.enumeration import (
+    _forests,
+    _rooted_sequences,
+    _sequence_to_parents,
+    enumerate_trees,
+    free_tree_count,
+    random_tree,
+)
 from avgmix.errors import GraphInputError
 from avgmix.graph6 import parse_graph6, write_graph6
 from avgmix.graphs import Tree
@@ -55,6 +62,33 @@ def test_every_output_is_a_valid_tree():
             assert all(type(e) is tuple and 0 <= e[0] < e[1] < n for e in t.edges)
             assert t.is_connected()
             assert pickle.dumps(t) == pickle.dumps(ref) and pickle.loads(pickle.dumps(t)) == t
+
+
+def _depth_sequences(n):
+    """The depth sequences of the order-n trees, in enumeration order: the
+    centroid's forests under a new root, then the bicentroidal pairs."""
+    for forest in _forests(n - 1, (n - 1) // 2, None):
+        seq = [0]
+        for sub in forest:
+            seq.extend(d + 1 for d in sub)
+        yield seq
+    if n % 2 == 0:
+        halves = _rooted_sequences(n // 2)
+        for t1 in halves:
+            for t2 in halves:
+                if t2 <= t1:
+                    yield t1 + tuple(d + 1 for d in t2)
+
+
+def test_cached_placements_match_the_depth_sequence_route():
+    # each parent array assembled from cached subtree placements is the one
+    # the depth sequence gives, down to the pickled bytes, on orders 1..16
+    for n in range(1, 17):
+        got = enumerate_trees(n)
+        for seq in _depth_sequences(n):
+            ref = Tree.from_parents(_sequence_to_parents(seq))
+            assert pickle.dumps(next(got)) == pickle.dumps(ref), (n, seq)
+        assert next(got, None) is None, n
 
 
 def test_from_parents_rejects_non_trees():

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from avgmix.errors import GraphInputError
+from avgmix.enumeration import enumerate_trees
+from avgmix.errors import DomainError, GraphInputError
+from avgmix.exact import walk_rank
 from avgmix.graphs import (
     Graph,
     Tree,
@@ -10,6 +14,14 @@ from avgmix.graphs import (
     rooted_product_k2,
     star,
     write_edge_list,
+)
+from avgmix.matchings import (
+    _forest,
+    forest_matching_counts,
+    kernel_basis,
+    leaf_matching,
+    matching_number,
+    nonzero_eigenvalues_simple,
 )
 
 
@@ -86,6 +98,79 @@ def test_components_and_forest():
     assert not g.is_connected()
     nbr = from_edges(5, [(4, 0), (3, 0), (2, 4), (1, 0)]).neighbors()
     assert nbr == [[1, 3, 4], [0], [4], [0], [0, 2]]
+
+
+def _parent_first(order, parent):
+    at = {v: i for i, v in enumerate(order)}
+    return sorted(order) == list(range(len(parent))) and all(
+        at[p] < at[v] for v, p in enumerate(parent) if p >= 0
+    )
+
+
+def _increasing(g):
+    """No vertex is the larger end of two edges: the edge route's condition."""
+    larger = [v for _, v in g.edges]
+    return len(set(larger)) == len(larger)
+
+
+def test_spanning_forest_routes_agree():
+    # the edge route against the depth-first one on the same trees: every
+    # enumerated tree has increasing labels and is read off its edges
+    # (order range(n)); a relabelling with some vertex the larger end of two
+    # edges takes the depth-first route, whose preorder is then never
+    # range(n), as a preorder range(n) would give every vertex one smaller
+    # neighbour
+    rng = random.Random(25)
+    relabelled = 0
+    for n in range(1, 12):
+        for t in enumerate_trees(n):
+            order, parent = t.spanning_forest()
+            assert order == list(range(n)) and _parent_first(order, parent)
+            assert parent.count(-1) == 1
+            if n < 3:
+                continue  # every labelling of one edge is increasing
+            perm = list(range(n))
+            while True:
+                rng.shuffle(perm)
+                g = Tree(n, tuple((perm[u], perm[v]) for u, v in t.edges))
+                if not _increasing(g):
+                    break
+            relabelled += 1
+            order_g, parent_g = g.spanning_forest()
+            assert order_g != list(range(n)) and _parent_first(order_g, parent_g)
+            assert parent_g.count(-1) == 1
+            counts = forest_matching_counts(t)
+            assert forest_matching_counts(g) == counts
+            assert matching_number(g) == matching_number(t) == len(counts) - 1
+            if nonzero_eigenvalues_simple(counts):
+                assert walk_rank(g, counts) == walk_rank(t, counts), t.edges
+    assert relabelled == 436 - 2  # the trees of orders 1..11 but the two below 3
+    # the greedy now matches a star's last leaf; the basis stays certified
+    for m in range(2, 10):
+        s = star(m)
+        nu, pairs, _ = leaf_matching(s)
+        assert pairs == [(m - 1, 0)]
+        x, _ = kernel_basis(s, forest_matching_counts(s))
+        k = m - 2 * nu
+        assert all(len(row) == k for row in x)
+        adj = s.adjacency()
+        assert all(sum(a * xw[j] for a, xw in zip(row, x)) == 0 for row in adj for j in range(k))
+
+
+def test_non_forests_keep_their_errors():
+    for g in [from_edges(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 9)] + [
+        from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+    ]:
+        with pytest.raises(DomainError):
+            _forest(g)
+    with pytest.raises(GraphInputError, match="disconnected"):
+        Tree(4, [(0, 1), (1, 2), (0, 2)])
+    # a forest whose labels are not increasing takes the depth-first route
+    g = from_edges(3, [(0, 2), (1, 2)])
+    order, parent = g.spanning_forest()
+    assert order == [0, 2, 1] and parent == [-1, 2, 0]
+    assert parent.count(-1) == path(3).spanning_forest()[1].count(-1) == 1
+    assert _forest(g) == (order, parent)
 
 
 def test_edge_list_roundtrip():
