@@ -12,7 +12,6 @@ from .exact import (
     is_simple,
     kernel_exact,
     rank_via_coefficient,
-    strongly_cospectral_pairs,
     weighted_projector_schur_sum,
 )
 from .graph6 import parse_graph6, write_graph6
@@ -44,8 +43,6 @@ from .rooted_family import (
     amm_rooted_product_exact,
     build_family,
     find_t_star,
-    k2_eigenbasis,
-    k2_spectrum_map,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -329,13 +329,21 @@ def compare_tables(records, collect_certificates: bool = True) -> ComparisonRepo
     """Cell-by-cell comparison of census records against the published tables.
 
     Known published-source inconsistencies are attached as notes for every
-    covered order; mismatched cells on small orders get graph6 certificates
-    of the trees this package places in the cell.
+    covered order, and a note names the orders without a published row;
+    mismatched cells on small orders get graph6 certificates of the trees
+    this package places in the cell.  Raises ValueError when no order has a
+    published row, as then nothing is compared.
     """
     by_n: dict[int, dict[int, tuple[int, int]]] = {}
     for r in records:
         by_n.setdefault(r.n, {})[r.rank] = (r.trees, r.simple_trees)
     orders = sorted(n for n in by_n if n in REFERENCE_RANK_TABLE)
+    if not orders:
+        held = f"no published row for orders {','.join(map(str, sorted(by_n)))}" if by_n else "no records"
+        raise ValueError(
+            f"nothing to compare: {held}; the published tables cover orders "
+            f"{min(REFERENCE_RANK_TABLE)}..{max(REFERENCE_RANK_TABLE)}"
+        )
     mismatches = []
     for n in orders:
         expected = {rank: (trees, simple) for rank, trees, simple in REFERENCE_RANK_TABLE[n]}
@@ -352,6 +360,9 @@ def compare_tables(records, collect_certificates: bool = True) -> ComparisonRepo
         if expected_min is not None and got_min != expected_min:
             min_rank_mismatches.append((n, got_min, expected_min))
     notes = [KNOWN_DISCREPANCY_NOTES[n] for n in orders if n in KNOWN_DISCREPANCY_NOTES]
+    uncompared = sorted(set(by_n) - set(orders))
+    if uncompared:
+        notes.append(f"orders without a published row, not compared: {','.join(map(str, uncompared))}")
     certificates: dict[tuple[int, int], list[str]] = {}
     if collect_certificates and mismatches:
         wanted = {(m.n, m.rank) for m in mismatches if m.n <= CERTIFICATE_ORDER_CAP}

@@ -69,7 +69,6 @@ class AmmResult:
     matrix: RatMatrix
     rank: int
     simple: bool
-    n: int
 
 
 def average_mixing_exact(x: Graph) -> AmmResult:
@@ -77,7 +76,7 @@ def average_mixing_exact(x: Graph) -> AmmResult:
     phi = _phi(x)
     psi = squarefree_part(phi)
     scaled, denom = _scaled_schur_sum(x, psi, [1], [1])
-    return AmmResult(_over(scaled, denom), exact_rank(scaled), degree(psi) == degree(phi), x.n)
+    return AmmResult(_over(scaled, denom), exact_rank(scaled), degree(psi) == degree(phi))
 
 
 def amm_rank(x: Graph, phi: IntPoly | None = None) -> int:
@@ -379,14 +378,6 @@ def rank_via_coefficient(x: Graph) -> int:
     if not is_squarefree(phi):
         raise DomainError("coefficient rank shortcut requires distinct eigenvalues")
     return exact_rank(coefficient_matrix(x, phi))
-
-
-def strongly_cospectral_pairs(x: Graph) -> list[tuple[int, int]]:
-    """Unordered vertex pairs whose average-mixing columns agree exactly."""
-    m = average_mixing_exact(x).matrix
-    n = x.n
-    cols = [tuple(m[i][v] for i in range(n)) for v in range(n)]
-    return [(u, v) for u in range(n) for v in range(u + 1, n) if cols[u] == cols[v]]
 
 
 def is_psd_exact(mat: RatMatrix) -> bool:

@@ -2,8 +2,8 @@
 
 Attaching a pendant vertex to every vertex of a graph X maps each
 eigenvalue theta to the two roots of t^2 - theta t - 1, with the same
-multiplicity, and transforms the average mixing matrix by an explicit
-block formula
+multiplicity (`rooted_product_char_poly` expands this exactly), and
+transforms the average mixing matrix by an explicit block formula
 
     [[M - N, N], [N, M - N]],   N = sum_theta 2/(theta^2 + 4) E_theta o E_theta,
 
@@ -19,14 +19,11 @@ as the only simple tree on 18 vertices below that ceiling.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .census import classify_tree, map_chunks
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError
 from .enumeration import enumerate_trees
 # coefficient_matrix and exact_rank are not called here; perfbench/layers.py wraps
 # avgmix.rooted_family:coefficient_matrix and :exact_rank
@@ -65,48 +62,6 @@ def tstar_charpoly() -> IntPoly:
     for f in TSTAR_CHARPOLY_FACTORS:
         out = poly_mul(out, f)
     return out
-
-
-def k2_spectrum_map(eigenvalues) -> list[float]:
-    """Eigenvalues of X with pendants attached: both roots of t^2 - lambda t - 1.
-
-    The two roots of each pair multiply to -1; for a simple input spectrum
-    all 2n outputs are distinct.
-    """
-    out = []
-    for lam in eigenvalues:
-        lam = float(lam)
-        disc = math.sqrt(lam * lam + 4.0)
-        out.append((lam + disc) / 2.0)
-        out.append((lam - disc) / 2.0)
-    return sorted(out)
-
-
-def k2_eigenbasis(eigenvalues, vectors) -> tuple[list[float], np.ndarray]:
-    """Orthonormal eigenbasis of X-with-pendants from an eigenbasis of X.
-
-    Input columns must be orthonormal (Gram deviation above 1e-8 is
-    rejected).  Each eigenvector z of X with eigenvalue lambda lifts to
-    (mu z, z)/sqrt(mu^2 + 1) for both roots mu of t^2 - lambda t - 1.
-    Output is sorted by eigenvalue.
-    """
-    v = np.asarray(vectors, dtype=float)
-    n = v.shape[0]
-    if v.shape != (n, n):
-        raise DomainError("expected a square eigenvector matrix")
-    if np.max(np.abs(v.T @ v - np.eye(n))) > 1e-8:
-        raise DomainError("input basis is not orthonormal")
-    evs = []
-    cols = []
-    for i, lam in enumerate(eigenvalues):
-        lam = float(lam)
-        disc = math.sqrt(lam * lam + 4.0)
-        for mu in ((lam + disc) / 2.0, (lam - disc) / 2.0):
-            scale = 1.0 / math.sqrt(mu * mu + 1.0)
-            cols.append(np.concatenate([mu * v[:, i], v[:, i]]) * scale)
-            evs.append(mu)
-    order = np.argsort(evs, kind="stable")
-    return [evs[i] for i in order], np.column_stack([cols[i] for i in order])
 
 
 def rooted_product_char_poly(phi: IntPoly, n: int) -> IntPoly:

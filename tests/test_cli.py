@@ -207,6 +207,20 @@ def test_compare_detects_corruption(tmp_path, capsys):
         assert main(["compare", str(out)]) == 2, row
         captured = capsys.readouterr()
         assert f"line 2 '{row}': {reason}" in captured.err and "MISMATCH" not in captured.out
+    # with no order in the published tables nothing is compared: an error, never "all cells match"
+    for rows, held in (("", "no records"), ("21,10,5,0\n", "no published row for orders 21")):
+        out.write_text("n,rank,trees,simple_trees\n" + rows)
+        assert main(["compare", str(out)]) == 2, rows
+        captured = capsys.readouterr()
+        assert f"error: nothing to compare: {held}; the published tables cover orders 2..20" in captured.err
+        assert captured.out == ""
+    # orders without a published row are named in a note, not dropped silently
+    out.write_text("n,rank,trees,simple_trees\n2,1,1,1\n21,10,5,0\n22,3,1,1\n")
+    assert main(["compare", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "compared orders: 2\nall cells match the published tables\n"
+        "note: orders without a published row, not compared: 21,22\n"
+    )
 
 
 def test_verify_cli(monkeypatch, capsys):

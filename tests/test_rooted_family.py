@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from avgmix.enumeration import enumerate_trees
-from avgmix.errors import ConsistencyError, DomainError
+from avgmix.errors import ConsistencyError
 from avgmix.exact import average_mixing_exact, coefficient_matrix, exact_rank, is_simple, kernel_exact
+from avgmix.graph6 import write_graph6
 from avgmix.graphs import Graph, path, rooted_product_k2, star
 from avgmix.matchings import counts_to_char_poly, forest_matching_counts, simple_from_matching_counts
-from avgmix.numeric import eigh
 from avgmix.polynomials import char_poly, is_squarefree
 from avgmix.rooted_family import (
     TSTAR_GRAPH6,
     amm_rooted_product_exact,
     build_family,
     confirm_unique_low_rank_tree,
-    k2_eigenbasis,
-    k2_spectrum_map,
     rooted_product_char_poly,
     search_low_rank_simple_trees,
     tstar,
@@ -27,35 +25,20 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 
 
 def test_spectrum_map_examples():
-    assert np.allclose(sorted(k2_spectrum_map([0.0])), [-1.0, 1.0])
-    got = k2_spectrum_map([-1.0, 1.0])
-    want = sorted([GOLDEN, 1 - GOLDEN, GOLDEN - 1, -GOLDEN])
-    assert np.allclose(got, want)
-    # each pair multiplies to -1
-    for lam in (0.0, 1.0, -2.5, 3.25):
-        d = math.sqrt(lam * lam + 4)
-        assert abs((lam + d) / 2 * (lam - d) / 2 + 1) < 1e-12
+    # each eigenvalue theta splits into the two roots of t^2 - theta t - 1:
+    # K1 o K2 = P2 has the roots +-1 of t^2 - 1
+    assert rooted_product_char_poly([0, 1], 1) == [-1, 0, 1]
+    # P2 o K2 = P4: +-1 split into +-golden ratio and +-its inverse
+    phi_p4 = rooted_product_char_poly([-1, 0, 1], 2)
+    assert phi_p4 == [1, 0, -3, 0, 1] == char_poly(path(4))
+    assert np.allclose(sorted(np.roots(phi_p4[::-1]).real), [-GOLDEN, 1 - GOLDEN, GOLDEN - 1, GOLDEN])
 
 
 def test_spectrum_map_distinct_for_simple():
-    w, _ = eigh(np.array(path(5).adjacency(), float))
-    mapped = k2_spectrum_map(w)
-    assert len(set(np.round(mapped, 9))) == 10
-
-
-def test_eigenbasis_lifting():
-    w, v = eigh(np.array(path(2).adjacency(), float))
-    evs, basis = k2_eigenbasis(w, v)
-    a4 = np.array(rooted_product_k2(path(2)).adjacency(), float)
-    for i in range(4):
-        assert np.max(np.abs(a4 @ basis[:, i] - evs[i] * basis[:, i])) < 1e-12
-    assert np.max(np.abs(np.linalg.norm(basis, axis=0) - 1)) < 1e-12
-    assert np.max(np.abs(basis.T @ basis - np.eye(4))) < 1e-10
-
-
-def test_eigenbasis_rejects_bad_input():
-    with pytest.raises(DomainError):
-        k2_eigenbasis([1.0, -1.0], np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # P5 is simple, and so is its pendant product: a squarefree degree-10 char poly
+    phi = rooted_product_char_poly(char_poly(path(5)), 5)
+    assert len(phi) == 11 and is_squarefree(phi)
+    assert phi == char_poly(rooted_product_k2(path(5)))
 
 
 def test_block_formula_p2():
@@ -182,10 +165,18 @@ def test_build_family_rank_doubling(monkeypatch):
     with pytest.raises(ConsistencyError, match="not twice"):
         build_family(2, base=path(2))
 
+    def member_one_not_simple(t, method):
+        rank, simple = real(t, method)
+        return rank, simple and t.n != 4
+
+    monkeypatch.setattr(rooted_family, "classify_tree", member_one_not_simple)
+    with pytest.raises(ConsistencyError, match="member 1 lost eigenvalue simplicity") as exc:
+        build_family(2, base=path(2))
+    assert exc.value.certificates == [write_graph6(rooted_product_k2(path(2)))]
+
 
 def test_tstar_constant_is_the_search_hit(tstar_hits, monkeypatch):
     from avgmix import rooted_family
-    from avgmix.graph6 import write_graph6
 
     assert write_graph6(confirm_unique_low_rank_tree(tstar_hits)) == TSTAR_GRAPH6
     assert tstar() == tstar_hits[0][1]
