@@ -27,6 +27,16 @@ from its subtrees: a rooted sequence placed at an offset, hanging from
 vertex 0, always contributes the same run of entries, so each such run is
 built once and cached (`_placed`).  Labels that grow away from the root
 also let `Graph.spanning_forest` read every enumerated tree off its edges.
+
+The matching DP's state composes the same way.  Each canonical rooted
+sequence caches its pair (A, F) of matching-count vectors
+(`_matching_state`), folded from its children's pairs by
+`matchings.fold_child`.  `enumerate_tree_keys` walks the same trees in the
+same order without building them: it yields each tree's subtrees (its key)
+and its matching number, read off the cached pairs in integer operations.
+`tree_from_key` and `matching_counts_from_key` then build the tree and fold
+its counts at the root only for the keys a caller keeps, as the 18-vertex
+scan does for the 2.3 % of trees that pass its matching-number prefilter.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ import random
 from collections.abc import Iterator, Sequence
 
 from .graphs import Tree
+from .matchings import fold_child
 
 Seq = tuple[int, ...]
 
@@ -120,6 +131,106 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
             for t2 in halves:
                 if t2 <= t1:
                     yield Tree.from_parents(first + _placed(t2, half))
+
+
+@functools.lru_cache(maxsize=None)
+def _children(seq: Seq) -> tuple[Seq, ...]:
+    """The root's subtrees of a depth sequence, in order, each as a depth
+    sequence of its own: the runs that start at depth 1, lowered by one."""
+    starts = [i for i, d in enumerate(seq) if d == 1] + [len(seq)]
+    return tuple(tuple(d - 1 for d in seq[a:b]) for a, b in zip(starts, starts[1:]))
+
+
+def _fold(children: Sequence[Seq]) -> tuple[list[int], list[int]]:
+    """(A, F) of a root whose subtrees are `children`, folded in order."""
+    a = f = [1]
+    for c in children:
+        a, f = fold_child(a, f, *_matching_state(c))
+    return a, f
+
+
+@functools.lru_cache(maxsize=None)
+def _matching_state(seq: Seq) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The matching DP's pair (A, F) of the rooted tree `seq`: the counts of
+    its k-edge matchings, and of those leaving its root free.  One entry per
+    canonical sequence; about 500 cover the subtrees of order 18."""
+    a, f = _fold(_children(seq))
+    return tuple(a), tuple(f)
+
+
+def enumerate_tree_keys(n: int) -> Iterator[tuple[tuple[Seq, ...], int]]:
+    """Yield (key, nu) for every free tree on n vertices, in the order of
+    `enumerate_trees(n)`, without building the trees.
+
+    The key is the centroid forest, or the bicentroidal pair (t1, t2); nu
+    is the tree's matching number.  `tree_from_key(n, key)` is the tree
+    `enumerate_trees(n)` yields at the same place, and
+    `matching_counts_from_key(n, key)` its matching counts.
+
+    nu comes from the subtrees' cached pairs in integer operations.  For a
+    rooted tree c let nu(c) = len(A_c) - 1 be its matching number and
+    nu_F(c) = len(F_c) - 1 the largest matching leaving its root free.
+    Then nu_F(c) is nu(c) or nu(c) - 1: deleting the root's edge from a
+    maximum matching leaves one that avoids the root.  A maximum matching
+    of a tree rooted at r with subtrees c_i either leaves r free, with
+    sum nu(c_i) edges, or matches r to some c_j, with
+    1 + nu_F(c_j) + sum over i != j of nu(c_i) edges.  So
+
+        nu = sum nu(c_i) + [some child has nu_F(c_j) = nu(c_j)]
+
+    (that is, len F_c = len A_c): r is matched exactly when some child can
+    leave its own root free at no cost.  Likewise a maximum matching of a
+    bicentroidal pair either avoids the edge between the two roots, with
+    nu(t1) + nu(t2) edges, or uses it, with 1 + nu_F(t1) + nu_F(t2), so
+
+        nu = nu(t1) + nu(t2) + [both roots free].
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    for forest in _forests(n - 1, (n - 1) // 2, None):
+        nu = 0
+        root_matched = False
+        for sub in forest:
+            a, f = _matching_state(sub)
+            nu += len(a) - 1
+            root_matched |= len(f) == len(a)
+        yield forest, nu + root_matched
+    if n % 2 == 0:
+        halves = _rooted_sequences(n // 2)
+        for t1 in halves:
+            a1, f1 = _matching_state(t1)
+            for t2 in halves:
+                if t2 <= t1:
+                    a2, f2 = _matching_state(t2)
+                    both_free = len(f1) == len(a1) and len(f2) == len(a2)
+                    yield (t1, t2), len(a1) + len(a2) - 2 + both_free
+
+
+def _root_subtrees(n: int, key: tuple[Seq, ...]) -> tuple[Seq, ...]:
+    """The subtrees at vertex 0 of the tree with this key: the centroid
+    forest itself, or, for a bicentroidal pair (t1, t2), t1's subtrees
+    followed by t2.  Members of a centroid forest have fewer than n/2
+    vertices, and the halves of a pair exactly n/2."""
+    if key and 2 * len(key[0]) == n:
+        return _children(key[0]) + key[1:]
+    return key
+
+
+def tree_from_key(n: int, key: tuple[Seq, ...]) -> Tree:
+    """The tree of an `enumerate_tree_keys(n)` item, equal to the one
+    `enumerate_trees(n)` yields at the same place, down to its pickled
+    bytes: its parent array is assembled from the same cached runs."""
+    parent = [-1]
+    for sub in _root_subtrees(n, key):
+        parent += _placed(sub, len(parent))
+    return Tree.from_parents(parent)
+
+
+def matching_counts_from_key(n: int, key: tuple[Seq, ...]) -> list[int]:
+    """The matching counts of the tree of an `enumerate_tree_keys(n)` item,
+    equal to `matchings.forest_matching_counts` of `tree_from_key(n, key)`:
+    one fold at vertex 0 over its subtrees' cached pairs."""
+    return _fold(_root_subtrees(n, key))[0]
 
 
 def free_tree_count(n: int) -> int:

@@ -278,15 +278,17 @@ def weighted_projector_schur_sum(x: Graph, w_num: IntPoly, w_den: IntPoly) -> Ra
 def exact_rank(mat) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination.
 
-    Rows of Python ints are taken as they are; any other row is scaled by
-    the lcm of its entries' denominators.  The pivot is always the
-    lowest-index row with a nonzero entry in the current column, so the
-    computation is reproducible bit for bit.
+    A repeated row adds nothing to the row space, so only the first copy
+    of each row is kept, in order.  Rows of Python ints are taken as they
+    are; any other row is scaled by the lcm of its entries' denominators.
+    The pivot is always the lowest-index row with a nonzero entry in the
+    current column, so the computation, deduplication included, is
+    reproducible bit for bit.
     """
     if len(mat) == 0:
         return 0
     rows = []
-    for row in mat:
+    for row in dict.fromkeys(map(tuple, mat)):
         if not {int}.issuperset(map(type, row)):
             fr = [Fraction(c) for c in row]
             den = math.lcm(*(c.denominator for c in fr))

@@ -8,16 +8,19 @@ spanning forest, `Graph.spanning_forest`, children first (its
 parent-first order reversed), and share one domain: a graph is a forest
 exactly when m = n - (number of roots), and any other graph raises
 DomainError.  The counts come from folding each child into its parent's
-two count vectors; the caller hands `counts_to_char_poly` of them to
-`exact`, so one DP per tree gives both simplicity and rank.
+two count vectors (`fold_child`, the one step of the DP, which
+`enumeration` also folds over canonical subtrees); the caller hands
+`counts_to_char_poly` of them to `exact`, so one DP per tree gives both
+simplicity and rank.
 
 The matching number nu alone comes cheaper, in linear time, from greedy
 leaf matching (Karp & Sipser, FOCS 1981): the same leaf rule, run children
 first over the spanning forest, on the same domain of forests.  It
 already rules most trees out: the eigenvalue 0 of a forest has
 multiplicity n - 2 nu (Cvetkovic, Doob & Sachs, Spectra of Graphs), so a
-tree with 2 nu < n - 1 is not simple.  The 18-vertex scan runs the DP only
-on the trees that pass.  The same greedy, `leaf_matching`, also yields an
+tree with 2 nu < n - 1 is not simple.  (The 18-vertex scan gets nu and
+the counts of the trees that pass from the enumerator's cached subtree
+states instead.)  The same greedy, `leaf_matching`, also yields an
 integer basis of the kernel of A: each matched leaf and its partner are
 one step of back-substitution (`kernel_basis`), and `exact.walk_rank`
 ranks the average mixing matrix from that basis.
@@ -55,6 +58,20 @@ def _forest(g: Graph) -> tuple[list[int], list[int]]:
     return order, parent
 
 
+def fold_child(a_p, f_p, a_c, f_c) -> tuple[list[int], list[int]]:
+    """The matching DP's one step: a vertex p's count vectors (A_p, F_p)
+    after the complete subtree of its child c, with (A_c, F_c), joins it by
+    the edge pc.  A counts all matchings of the subtree, F those leaving its
+    root free, and a lone vertex has A = F = [1]:
+
+        A_p <- A_p*A_c + x*F_p*F_c,    F_p <- F_p*A_c
+
+    where x shifts by one edge (p matched to c).  The inputs are not
+    modified.
+    """
+    return poly_add(poly_mul(a_p, a_c), [0] + poly_mul(f_p, f_c)), poly_mul(f_p, a_c)
+
+
 def forest_matching_counts(g: Graph) -> list[int]:
     """Counts (m_0, m_1, ..., m_M) of k-edge matchings of a forest.
 
@@ -62,14 +79,7 @@ def forest_matching_counts(g: Graph) -> list[int]:
     maximum matching.  DomainError unless g is a forest.  Children first,
     over the spanning forest's parent-first order reversed, each vertex's
     subtree is complete when it is reached, and is folded into its parent
-    p.  Every vertex holds two count vectors, A (all matchings of its
-    subtree) and F (those leaving the vertex free), from A = F = [1]; a
-    child c folds in as
-
-        A_p <- A_p*A_c + x*F_p*F_c,    F_p <- F_p*A_c
-
-    where x shifts by one edge (p matched to c).  The forest's counts are
-    the product of the roots' A.
+    by `fold_child`.  The forest's counts are the product of the roots' A.
     """
     order, parent = _forest(g)
     a = [[1]] * g.n
@@ -80,7 +90,7 @@ def forest_matching_counts(g: Graph) -> list[int]:
         if p < 0:
             total = poly_mul(total, a[c])
         else:
-            a[p], f[p] = poly_add(poly_mul(a[p], a[c]), [0] + poly_mul(f[p], f[c])), poly_mul(f[p], a[c])
+            a[p], f[p] = fold_child(a[p], f[p], a[c], f[c])
     return total
 
 

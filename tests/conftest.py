@@ -6,11 +6,11 @@ from avgmix.rooted_family import search_low_rank_simple_trees, tstar as tstar_co
 
 @pytest.fixture(scope="session")
 def tstar_hits():
-    """Full 18-vertex scan; shared because it is still the suite's longest
-    step (about 2.5 s): 123,867 trees, each with labels that grow away from
-    the root, so the prefilter reads its spanning forest off the edges with
-    no traversal; the leaf-matching prefilter passes 2,891 to the matching
-    DP."""
+    """Full 18-vertex scan; shared because it is still one of the suite's
+    longest steps (about 1.5 s): 123,867 trees, each one's matching number
+    read off its subtrees' cached matching states without building it; the
+    2,891 that pass the prefilter have their counts folded at the root, and
+    only the simple ones among them are built and ranked."""
     return search_low_rank_simple_trees(18, 9, threads=1)
 
 

@@ -51,8 +51,10 @@ def test_float_classification_decomposes_each_tree_once(monkeypatch):
 
 
 def test_coeff_fast_runs_one_matching_dp_per_tree(monkeypatch):
-    """Every ranked tree takes its characteristic polynomial from its one DP,
-    and the census and the scan rank the enumerator's trees without graph6."""
+    """Every ranked tree of the census takes its characteristic polynomial
+    from its one DP; the scan runs no DP and folds the counts of the trees
+    that pass its prefilter from cached subtree states; and the census and
+    the scan rank the enumerator's trees without graph6."""
     calls = Counter()
     routes = Counter()  # the rank route each classified tree took
     # `import avgmix.census` would bind the re-exported function `census`
@@ -61,6 +63,7 @@ def test_coeff_fast_runs_one_matching_dp_per_tree(monkeypatch):
         ("census", "write_graph6", calls),
         ("census", "parse_graph6", calls),
         ("rooted_family", "forest_matching_counts", calls),
+        ("rooted_family", "simple_from_matching_counts", calls),
         ("rooted_family", "write_graph6", calls),
         ("rooted_family", "parse_graph6", calls),
         ("exact", "forest_char_poly", calls),
@@ -88,8 +91,9 @@ def test_coeff_fast_runs_one_matching_dp_per_tree(monkeypatch):
         assert dict(routes) == {route: 1}, t.edges
     calls.clear()
     search_low_rank_simple_trees(10, 6)
-    # only the 15 of the 106 trees that pass the leaf-matching prefilter
-    assert dict(calls) == {"rooted_family.forest_matching_counts": 15}
+    # no matching DP: only the 15 of the 106 trees that pass the
+    # matching-number prefilter reach the simplicity test
+    assert dict(calls) == {"rooted_family.simple_from_matching_counts": 15}
     calls.clear()
     census(2, 9)
     assert dict(calls) == {"census.forest_matching_counts": sum(map(free_tree_count, range(2, 10)))}

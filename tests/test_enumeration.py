@@ -9,13 +9,17 @@ from avgmix.enumeration import (
     _forests,
     _rooted_sequences,
     _sequence_to_parents,
+    enumerate_tree_keys,
     enumerate_trees,
     free_tree_count,
+    matching_counts_from_key,
     random_tree,
+    tree_from_key,
 )
 from avgmix.errors import GraphInputError
 from avgmix.graph6 import parse_graph6, write_graph6
 from avgmix.graphs import Tree
+from avgmix.matchings import forest_matching_counts, matching_number
 from avgmix.reference_data import REFERENCE_RANK_TABLE
 from avgmix.rooted_family import TSTAR_GRAPH6
 
@@ -137,9 +141,34 @@ def test_deterministic_order_and_index_partitioning():
     assert next(i for i, t in enumerate(enumerate_trees(18)) if t.edges == tstar) == 33_973
 
 
+def test_key_stream_matches_the_tree_stream():
+    # every key's matching number against greedy leaf matching, its built
+    # tree against enumerate_trees' tree down to the pickled bytes, and its
+    # folded counts against the matching DP: on orders 1..14 for every
+    # tree, and on the benchmark's order-18 scan window for the counts of
+    # the trees that pass the scan's prefilter
+    streams = [(n, enumerate_trees(n), enumerate_tree_keys(n), 0) for n in range(1, 15)]
+    window = 34_816
+    streams.append((18, itertools.islice(enumerate_trees(18), window),
+                    itertools.islice(enumerate_tree_keys(18), window), 17))
+    for n, trees, keys, counted_from in streams:
+        folded = 0
+        for t, (key, nu) in zip(trees, keys, strict=True):
+            assert nu == matching_number(t), (n, key)
+            built = tree_from_key(n, key)
+            assert built == t and hash(built) == hash(t), (n, key)
+            assert pickle.dumps(built) == pickle.dumps(t), (n, key)
+            if 2 * nu >= counted_from:  # every tree below order 15
+                assert matching_counts_from_key(n, key) == forest_matching_counts(t), (n, key)
+                folded += 1
+        if n == 18:
+            assert folded == 1_218
+
+
 def test_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        next(enumerate_trees(0))
+    for stream in (enumerate_trees, enumerate_tree_keys):
+        with pytest.raises(ValueError):
+            next(stream(0))
 
 
 def test_random_tree_is_tree():

@@ -99,6 +99,21 @@ def test_exact_rank_matches_fraction_elimination_on_random():
         assert exact_rank(m) == cols - len(kernel_exact(m))
 
 
+def test_exact_rank_ignores_repeated_rows():
+    import random
+
+    rng = random.Random(5)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        ints = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        fracs = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
+        for m in (ints, fracs):
+            rank = exact_rank(m)
+            assert exact_rank(m + m) == rank
+            interleaved = [row for pair in zip(m, m, [m[0]] * rows) for row in pair]
+            assert exact_rank(interleaved) == rank
+
+
 def test_exact_rank_low_rank_with_column_skips():
     import random
 
