@@ -16,7 +16,8 @@ repeated ones the assembly with r = 1 over f, the polynomial of the
 repeated roots (`amm_rank`).  Both rank on integers.  A forest whose only
 repeated eigenvalue, if any, is 0 needs no polynomial at all:
 `walk_rank` ranks its closed-walk counts beside the Schur squares of an
-integer kernel basis.
+integer kernel basis, and a full rank of those modulo a prime, taken for
+a whole batch of simple trees of one order in numpy, certifies it.
 """
 from __future__ import annotations
 
@@ -25,6 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
+
+import numpy as np
 
 from .errors import DomainError
 from .graphs import Graph
@@ -171,6 +174,17 @@ def walk_rank(x: Graph, counts: list[int]) -> int:
     For k <= 1 this ranks the simple trees too, beside the paper's
     rank M = rank C (`rank_via_coefficient`), its cross-check.
 
+    Certificate.  For k <= 1, [W | x o x] has nu + k columns, so rank M <=
+    nu + k, and a full column rank modulo a prime p proves equality: a
+    nonzero minor mod p is a nonzero integer.  `_certified_walk_ranks`
+    ranks a batch of forests of one order this way, with p = 2^31 - 1, in
+    numpy int64: W mod p from the powers of the bipartite blocks of A^2,
+    each product below 2n p < 2^63, then fraction-free elimination mod p,
+    each product below p^2 < 2^62.  A forest it leaves uncertified, of rank
+    below nu + k or with p dividing every maximal minor, needs this
+    function.  The order-18 scan certifies 1,727 of its 1,728 simple trees;
+    t* is the one below nu + k.
+
     Computation.  Row u of A^j is zero off the colour class
     c(u) xor (j mod 2), for the 2-colouring c of the spanning forest
     that `kernel_basis` walked, read parent-first along the forest's
@@ -207,6 +221,117 @@ def walk_rank(x: Graph, counts: list[int]) -> int:
     for w_row, xu in zip(out, kernel):
         w_row += [xu[a] * xu[b] for a in range(k) for b in range(a, k)]
     return exact_rank(out)
+
+
+# The prime of the walk-rank certificate, 2^31 - 1: p^2 < 2^62, so a product
+# of two residues, and the difference of two such, fits in int64.
+_PRIME = 2**31 - 1
+
+
+def _walk_matrices_mod_p(forests, counts) -> np.ndarray:
+    """[W | x o x] of `walk_rank` modulo _PRIME for forests of one order n
+    with one matching number nu and k = n - 2 nu <= 1, stacked into an int64
+    array of shape (len(forests), n, nu + k); `counts` are the forests'
+    matching counts.  DomainError for any other batch.
+
+    Both colour classes of a 2-colouring hold at least nu vertices, as every
+    matching edge joins them, so they hold nu + k and nu once the larger is
+    named class 0.  Rows 0..nu+k-1 are class 0 and the rest class 1, each in
+    label order, and C is the (nu + k) x nu biadjacency matrix.  As A^2 =
+    diag(B_0, B_1) with B_0 = C C^T and B_1 = C^T C, W_uj = (B^j)_uu for the
+    block B of u's class.  B is exact: its entries are small integers.  Each
+    power P B is reduced mod p, and cannot overflow: P < p entrywise, and a
+    column w of B sums to sum_(v ~ w) deg v <= 2m < 2n, so every entry of
+    P B is below 2n p < 2^63 for n < 2^31.  For k = 1 the last column is
+    x o x for the kernel vector x of `matchings.kernel_basis`.
+    """
+    n = forests[0].n
+    nu = len(counts[0]) - 1
+    k = n - 2 * nu
+    if k > 1 or any(g.n != n or len(c) != nu + 1 for g, c in zip(forests, counts)):
+        raise DomainError("the walk-rank certificate needs forests of one order and one nu, k <= 1")
+    big = nu + k
+    ones = ([], [], [])  # (forest, row, column) of every 1 in the C's
+    squares = np.zeros((len(forests), n), np.int64)
+    for i, (g, cnt) in enumerate(zip(forests, counts)):
+        if k:
+            kernel, (order, parent) = kernel_basis(g, cnt)
+        else:
+            order, parent = g.spanning_forest()
+        colour = [0] * n
+        for v in order:
+            if parent[v] >= 0:
+                colour[v] = colour[parent[v]] ^ 1
+        if 2 * sum(colour) > n:
+            colour = [1 - c for c in colour]
+        size = [0, big]
+        row = []
+        for c in colour:
+            row.append(size[c])
+            size[c] += 1
+        for u, v in g.edges:
+            if colour[u]:
+                u, v = v, u
+            ones[0].append(i)
+            ones[1].append(row[u])
+            ones[2].append(row[v] - big)
+        if k:
+            for u, (xu,) in zip(row, kernel):
+                squares[i, u] = xu * xu % _PRIME
+    cmat = np.zeros((len(forests), big, nu), np.int64)
+    cmat[ones] = 1
+    ct = cmat.transpose(0, 2, 1)
+    out = np.empty((len(forests), n, nu + k), np.int64)
+    for b, rows in ((cmat @ ct, slice(0, big)), (ct @ cmat, slice(big, n))):
+        power = b
+        for j in range(nu):
+            if j:
+                power = power @ b % _PRIME
+            out[:, rows, j] = np.diagonal(power, axis1=1, axis2=2)
+    if k:
+        out[:, :, nu] = squares
+    return out
+
+
+def _full_column_rank_mod_p(mats: np.ndarray) -> np.ndarray:
+    """For each integer matrix of the stack `mats` (shape (T, rows, cols),
+    rows >= cols), whether its rank modulo _PRIME is cols.
+
+    Fraction-free elimination over Z/p, batched over the stack: column c
+    takes the first row at or below c that is nonzero in it as pivot (no
+    such row: rank mod p < cols), moves row c into the pivot's place, as
+    row c is not read again, and replaces every row r below c by
+    a r - b (pivot row) for the pivot a and b = r's entry in column c,
+    mod p.  As a != 0 mod p and p is prime, this keeps the row space over
+    Z/p.  Every entry is reduced first, so each product is below
+    p^2 < 2^62.
+    """
+    mats = mats % _PRIME
+    count, _, cols = mats.shape
+    full = np.ones(count, bool)
+    ix = np.arange(count)
+    for c in range(cols):
+        below = mats[:, c:, c] != 0
+        full &= below.any(1)
+        pivot = c + below.argmax(1)
+        top = mats[ix, pivot]
+        mats[ix, pivot] = mats[:, c]
+        rest = mats[:, c + 1 :, c:]
+        mats[:, c + 1 :, c:] = (top[:, c, None, None] * rest - rest[:, :, :1] * top[:, None, c:]) % _PRIME
+    return full
+
+
+def _certified_walk_ranks(forests, counts) -> list[int | None]:
+    """nu + k, the rank of M, for each forest of the batch whose [W | x o x]
+    has full column rank modulo _PRIME, and None for the others, which need
+    `walk_rank` (its Certificate paragraph has the proof); the batch is that
+    of `_walk_matrices_mod_p`, and every forest must satisfy `walk_rank`'s
+    hypothesis."""
+    if not forests:
+        return []
+    mats = _walk_matrices_mod_p(forests, counts)
+    cols = mats.shape[2]
+    return [cols if ok else None for ok in _full_column_rank_mod_p(mats)]
 
 
 def _scaled_schur_sum(x: Graph, psi: IntPoly, w_num: IntPoly, w_den: IntPoly):

@@ -32,6 +32,7 @@ from .enumeration import matching_counts_from_key, tree_from_key
 # avgmix.rooted_family:coefficient_matrix and :exact_rank
 from .exact import (
     RatMatrix,
+    _certified_walk_ranks,
     average_mixing_exact,
     coefficient_matrix,
     exact_rank,
@@ -135,18 +136,24 @@ _SEARCH_RANK_CEILING = 9
 def _scan_chunk(n: int, rank_below: int, items) -> tuple[int, list[tuple[int, Tree]]]:
     """(trees scanned, [(rank, tree)] of the chunk's hits in order), from
     `enumerate_tree_keys(n)` items; only trees with 2 nu >= n - 1 have
-    their counts folded, and only simple ones are built."""
+    their counts folded, only simple ones are built, and those are ranked
+    by one batched certificate, with `walk_rank` only where it fails."""
     scanned = 0
-    hits = []
+    keys = []
+    counts = []
     for key, nu in items:
         scanned += 1
         if 2 * nu < n - 1:
             continue
-        counts = matching_counts_from_key(n, key)
-        if not simple_from_matching_counts(n, counts):
-            continue
-        t = tree_from_key(n, key)
-        rank = walk_rank(t, counts)
+        c = matching_counts_from_key(n, key)
+        if simple_from_matching_counts(n, c):
+            keys.append(key)
+            counts.append(c)
+    trees = [tree_from_key(n, key) for key in keys]
+    hits = []
+    for t, c, rank in zip(trees, counts, _certified_walk_ranks(trees, counts)):
+        if rank is None:
+            rank = walk_rank(t, c)
         if rank < rank_below:
             hits.append((rank, t))
     return scanned, hits
@@ -167,10 +174,17 @@ def search_low_rank_simple_trees(
     off cached subtree states (`enumeration.enumerate_tree_keys`), so a
     skipped tree is never built.  For the others the matching counts are
     one fold at the root over the same cached states; simplicity is then
-    decided by the matching-count squarefree test, and each simple tree is
-    built and ranked by `exact.walk_rank`, as in the census, in integers,
-    so the scan is exact.  At n = 18, 2,891 of the 123,867 trees pass the
-    prefilter.  `progress(trees_scanned)` fires after every chunk.
+    decided by the matching-count squarefree test.  A simple tree has
+    k = n - 2 nu <= 1, so its [W | x o x] of `exact.walk_rank` has nu + k
+    columns, one shape per order: each chunk's simple trees are built and
+    ranked together by one certificate, the rank of those matrices modulo
+    the prime p = 2^31 - 1 in numpy int64 (products below 2n p < 2^63 in
+    the walk powers and p^2 < 2^62 in the elimination).  A full rank mod p
+    is a nonzero minor mod p, so a nonzero integer, and proves rank M =
+    nu + k; only a tree left uncertified is ranked by `walk_rank` itself.
+    So the scan is exact.  At n = 18, 2,891 of the 123,867 trees pass the
+    prefilter, and the certificate ranks all 1,728 simple ones but t*.
+    `progress(trees_scanned)` fires after every chunk.
     """
     if threads < 1:
         raise ValueError("threads must be positive")

@@ -23,6 +23,7 @@ from .census import census, compare_tables, records_to_csv
 from .enumeration import enumerate_trees, random_tree
 from .errors import ConsistencyError, DomainError
 from .exact import (
+    _certified_walk_ranks,
     amm_rank,
     average_mixing_exact,
     coefficient_matrix,
@@ -287,6 +288,32 @@ def non_tree_graphs() -> list[Graph]:
     return [*cycles, *complete, two_p3, Graph(4, ()), Graph(2, ())]
 
 
+def certificate_mismatches(n_max: int) -> tuple[int, list[str]]:
+    """(simple trees checked, graph6 of each one the batched mod-p
+    certificate of `exact` gets wrong) over every simple tree of orders
+    2..n_max, batched by 1, by 7 and by whole orders.  A certified rank must
+    equal `walk_rank`'s, and a tree must be left uncertified exactly when
+    that rank is below nu + k = ceil(n/2), so a certificate that never
+    certifies fails too."""
+    checked = 0
+    bad: list[str] = []
+    for n in range(2, n_max + 1):
+        trees, counts = [], []
+        for t in enumerate_trees(n):
+            c = forest_matching_counts(t)
+            if simple_from_matching_counts(n, c):
+                trees.append(t)
+                counts.append(c)
+        checked += len(trees)
+        want = [r if r == (n + 1) // 2 else None for r in map(walk_rank, trees, counts)]
+        for size in (1, 7, len(trees) or 1):
+            got = []
+            for i in range(0, len(trees), size):
+                got += _certified_walk_ranks(trees[i : i + size], counts[i : i + size])
+            bad += [write_graph6(t) for t, g, w in zip(trees, got, want) if g != w]
+    return checked, list(dict.fromkeys(bad))
+
+
 def suite_coefficient(r: _Runner, n_max: int):
     bad = 0
     count = 0
@@ -321,6 +348,11 @@ def suite_coefficient(r: _Runner, n_max: int):
             "eigenvalues are simple", not bad_amm, " ".join([f"{len(bad_amm)} bad", *bad_amm[:3]]))
     r.check(f"walk_rank equals coefficient rank on {simple} simple trees (n<={n_max})",
             not bad_coeff, " ".join([f"{len(bad_coeff)} bad", *bad_coeff[:3]]))
+
+    checked, bad = certificate_mismatches(n_max)
+    r.check(f"the mod-p walk-rank certificate, batched by 1, 7 and whole orders, certifies "
+            f"exactly walk_rank's full ranks on {checked} simple trees (n<={n_max})",
+            not bad, " ".join([f"{len(bad)} bad", *bad[:3]]))
 
 
 def suite_rooted(r: _Runner, n_max: int):

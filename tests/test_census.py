@@ -66,6 +66,7 @@ def test_coeff_fast_runs_one_matching_dp_per_tree(monkeypatch):
         ("rooted_family", "simple_from_matching_counts", calls),
         ("rooted_family", "write_graph6", calls),
         ("rooted_family", "parse_graph6", calls),
+        ("rooted_family", "walk_rank", calls),
         ("exact", "forest_char_poly", calls),
         ("census", "walk_rank", routes),
         ("census", "amm_rank", routes),
@@ -92,7 +93,8 @@ def test_coeff_fast_runs_one_matching_dp_per_tree(monkeypatch):
     calls.clear()
     search_low_rank_simple_trees(10, 6)
     # no matching DP: only the 15 of the 106 trees that pass the
-    # matching-number prefilter reach the simplicity test
+    # matching-number prefilter reach the simplicity test, and the mod-p
+    # certificate ranks all 11 simple ones, so walk_rank never runs
     assert dict(calls) == {"rooted_family.simple_from_matching_counts": 15}
     calls.clear()
     census(2, 9)

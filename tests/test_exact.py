@@ -5,6 +5,10 @@ import pytest
 from avgmix.enumeration import enumerate_trees, random_tree
 from avgmix.errors import ConsistencyError, DomainError
 from avgmix.exact import (
+    _PRIME,
+    _certified_walk_ranks,
+    _full_column_rank_mod_p,
+    _walk_matrices_mod_p,
     amm_rank,
     average_mixing_exact,
     coefficient_matrix,
@@ -20,8 +24,14 @@ from avgmix.exact import (
 )
 from avgmix.graph6 import write_graph6
 from avgmix.graphs import Graph, path, rooted_product_k2, star
-from avgmix.matchings import forest_matching_counts, kernel_basis, nonzero_eigenvalues_simple
-from avgmix.verify import non_tree_graphs, run_suite
+from avgmix.matchings import (
+    forest_matching_counts,
+    kernel_basis,
+    nonzero_eigenvalues_simple,
+    simple_from_matching_counts,
+)
+from avgmix.rooted_family import build_family
+from avgmix.verify import certificate_mismatches, non_tree_graphs, run_suite
 
 HALF = Fraction(1, 2)
 
@@ -164,6 +174,42 @@ def test_walk_rank_equals_amm_rank():
     assert len(covered) >= 20
     for t, counts in covered:
         assert walk_rank(t, counts) == amm_rank(t), t.edges
+
+
+def test_walk_rank_certificate_mod_p(tstar):
+    # all 510 simple trees of orders 2..14, in batches of 1, 7 and their
+    # whole order: certified exactly when walk_rank's rank is full
+    checked, bad = certificate_mismatches(14)
+    assert checked == 510 and not bad, bad[:3]
+    assert _certified_walk_ranks([tstar], [forest_matching_counts(tstar)]) == [None]
+    # column j times p is 0 mod p, and column j - 1 plus p times column j is
+    # column j - 1 mod p: either way the rank falls mod p, so none certifies
+    trees = [t for t in enumerate_trees(11) if simple_from_matching_counts(11, forest_matching_counts(t))]
+    mats = _walk_matrices_mod_p(trees, [forest_matching_counts(t) for t in trees])
+    assert mats.shape == (62, 11, 6) and _full_column_rank_mod_p(mats).all()
+    assert _full_column_rank_mod_p(mats + _PRIME * mats[::-1]).all()  # entries reduced first
+    for j in range(6):
+        for column in (_PRIME * mats[:, :, j], mats[:, :, j - 1] + _PRIME * mats[:, :, j]):
+            broken = mats.copy()
+            broken[:, :, j] = column
+            assert not _full_column_rank_mod_p(broken).any(), j
+    with pytest.raises(DomainError):
+        _certified_walk_ranks([star(4)], [forest_matching_counts(star(4))])  # k = 2
+
+
+def test_walk_rank_certificate_on_large_forests():
+    """Paths to P_64, whose closed walks reach C(64, 32), about 2^60, are
+    certified with walk_rank's rank.  Members 1 and 2 of the family (n = 36
+    and 72, ranks 16 and 32) fall short of nu + k = 18 and 36; member 2's
+    closed walks pass 2^63, and a W whose powers were not reduced mod p
+    would wrap and certify it."""
+    for m in range(1, 65):
+        counts = forest_matching_counts(path(m))
+        assert _certified_walk_ranks([path(m)], [counts]) == [walk_rank(path(m), counts)], m
+    for member in build_family(2)[1:]:
+        counts = forest_matching_counts(member.graph)
+        assert member.rank < len(counts) - 1
+        assert _certified_walk_ranks([member.graph], [counts]) == [None], member.n
 
 
 def test_kernel_basis_on_paths_stars_and_tstar(tstar):

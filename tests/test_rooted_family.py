@@ -175,11 +175,15 @@ def test_build_family_rank_doubling(monkeypatch):
     assert exc.value.certificates == [write_graph6(rooted_product_k2(path(2)))]
 
 
-def test_tstar_constant_is_the_search_hit(tstar_hits, monkeypatch):
+def test_tstar_constant_is_the_search_hit(tstar_scan, monkeypatch):
     from avgmix import rooted_family
 
-    assert write_graph6(confirm_unique_low_rank_tree(tstar_hits)) == TSTAR_GRAPH6
-    assert tstar() == tstar_hits[0][1]
+    hits, walk_rank_calls = tstar_scan
+    assert write_graph6(confirm_unique_low_rank_tree(hits)) == TSTAR_GRAPH6
+    assert tstar() == hits[0][1]
+    # the mod-p certificate ranks 1,727 of the 1,728 simple trees; t* alone,
+    # of rank 8 < nu = 9, needs walk_rank
+    assert walk_rank_calls == 1
     wrong = write_graph6(path(18))
     monkeypatch.setattr(rooted_family, "TSTAR_GRAPH6", wrong)
     with pytest.raises(ConsistencyError, match="characteristic polynomial") as exc:
